@@ -9,8 +9,8 @@
 //     is forward, per-edge Pearce-Kelly early-exits, and batching can at
 //     best tie (it pays staging overhead for nothing);
 //   * AdmitPerEdgeShuffled / AdmitBatchedShuffled/N — the same edges in
-//     random arrival order, which is what stripe interleaving in the
-//     sharded pipeline and out-of-order epoch replay actually deliver:
+//     random arrival order, which is what out-of-order epoch replay
+//     delivers:
 //     most insertions invalidate the maintained order, per-edge PK pays a
 //     region reorder per edge, the batch path pays ONE per batch. The
 //     nightly gate requires AdmitBatchedShuffled/256 to clear 2x over
@@ -22,9 +22,7 @@
 //   * IngestPerEvent    — IncrementalCertifier::Ingest per action;
 //   * IngestBatch/N     — IngestTraceBatched with N-action batches, GC off;
 //   * IngestBatchGc/N   — the same with commit-watermark GC every 1024
-//                         actions, exercising the flush-at-barrier rule;
-//   * PipelineBatch/N   — the sharded pipeline with batch_max=N (N=0 is
-//                         the per-event pipeline), stripe-grouped commits.
+//                         actions, exercising the flush-at-barrier rule.
 //
 // On this workload the end-to-end rows TIE by design: the certifier's trace
 // order is the graph's topological order, so per-edge insertions are almost
@@ -44,7 +42,6 @@
 #include "bench_util.h"
 #include "sg/fast_graph.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 
 namespace ntsg {
 namespace {
@@ -58,8 +55,7 @@ constexpr int kZipfHundredths = 110;  // Zipf(1.10), the T10 skewed workload
 // in a topologically compatible order — every insertion is forward, both
 // paths early-exit, and batching can at best tie. "shuffled" delivers the
 // same edges in a random order, which is what the certifier actually sees
-// from the sharded pipeline's stripe interleaving and from out-of-order
-// epoch replay: most insertions invalidate the current ord, per-edge PK
+// from out-of-order epoch replay: most insertions invalidate the current ord, per-edge PK
 // pays a region reorder per edge, and the batch path pays one per batch.
 // The nightly gate's 2x bar is on the shuffled stream.
 struct EdgeStream {
@@ -205,24 +201,6 @@ void BM_IngestBatchGc(benchmark::State& state) {
                           static_cast<int64_t>(batch.trace.size()));
 }
 BENCHMARK(BM_IngestBatchGc)->Arg(64)->Arg(256);
-
-void BM_PipelineBatch(benchmark::State& state) {
-  const bench::SyntheticBatch& batch = bench::CachedBatch(kZipfHundredths);
-  const size_t batch_max = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    ConcurrentIngestConfig config;
-    config.num_shards = 4;
-    config.seed = 1;
-    config.batch_max = batch_max;
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *batch.type, batch.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report.ok());
-  }
-  state.counters["events"] = static_cast<double>(batch.trace.size());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch.trace.size()));
-}
-BENCHMARK(BM_PipelineBatch)->Arg(0)->Arg(64)->Arg(256);
 
 }  // namespace
 }  // namespace ntsg

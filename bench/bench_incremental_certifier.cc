@@ -5,8 +5,6 @@
 //     quadratic straw man an online scheduler would otherwise pay);
 //   * Incremental   — IncrementalCertifier, one Pearce–Kelly insertion per
 //     discovered edge, per-object replay for return values;
-//   * Concurrent    — ConcurrentIngestPipeline, the same work fanned out to
-//     sharded worker threads under striped graph mutexes;
 //   * IncrementalFinal vs BatchFinal — one full pass each, isolating the
 //     per-action overhead from the prefix blowup.
 
@@ -15,7 +13,6 @@
 #include "bench_util.h"
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 
 namespace ntsg {
 namespace {
@@ -66,27 +63,11 @@ void BM_BatchFinalOnly(benchmark::State& state) {
   state.counters["events"] = static_cast<double>(run.sim.trace.size());
 }
 
-void BM_ConcurrentIngest(benchmark::State& state) {
-  const QuickRunResult& run =
-      bench::CachedRun(static_cast<size_t>(state.range(0)), Backend::kMoss);
-  ConcurrentIngestConfig config;
-  config.num_shards = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report);
-  }
-  state.counters["events"] = static_cast<double>(run.sim.trace.size());
-}
-
 BENCHMARK(BM_BatchPerPrefix)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IncrementalStream)->Arg(8)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BatchFinalOnly)->Arg(8)->Arg(32)->Arg(128)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ConcurrentIngest)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

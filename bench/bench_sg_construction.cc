@@ -115,24 +115,8 @@ void BM_SgBatchFast(benchmark::State& state) {
   state.counters["conflict_edges"] = static_cast<double>(edges);
 }
 
-void BM_SgBatchParallel(benchmark::State& state) {
-  const bench::SyntheticBatch& batch =
-      bench::CachedBatch(static_cast<int>(state.range(0)));
-  Trace serial = SerialPart(batch.trace);
-  size_t edges = 0;
-  for (auto _ : state) {
-    std::vector<SiblingEdge> conflict = ConflictRelation(
-        *batch.type, serial, ConflictMode::kReadWrite, /*num_threads=*/4);
-    edges = conflict.size();
-    benchmark::DoNotOptimize(conflict);
-  }
-  state.counters["conflict_edges"] = static_cast<double>(edges);
-}
-
 BENCHMARK(BM_SgBatchNaive)->Arg(0)->Arg(110)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SgBatchFast)->Arg(0)->Arg(110)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SgBatchParallel)->Arg(0)->Arg(110)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ntsg

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -16,20 +15,13 @@ namespace ntsg {
 /// missed proves nothing).
 struct FaultStats {
   size_t crashes = 0;
-  size_t restart_attempts = 0;
-  size_t restart_failures = 0;
-  size_t restarts = 0;
-  size_t delays = 0;
-  size_t duplicates = 0;
-  size_t reorders = 0;
   size_t snapshots = 0;
-  size_t items_replayed = 0;
+  size_t actions_replayed = 0;  // re-ingested after crash restores
   size_t injected_aborts = 0;
   size_t spurious_rejects = 0;
 
   size_t total_injected() const {
-    return crashes + delays + duplicates + reorders + snapshots +
-           injected_aborts + spurious_rejects;
+    return crashes + snapshots + injected_aborts + spurious_rejects;
   }
 
   std::string ToString() const;
@@ -37,16 +29,15 @@ struct FaultStats {
 
 /// Folds a delivered-fault tally into the process-wide ntsg_fault_* metric
 /// families (obs/families.h), so chaos activity lands on the same scrape as
-/// certifier and ingest metrics. Call once per finished run (the pipeline's
-/// Finish, the driver's end of Run); counters accumulate across runs.
+/// certifier metrics. Call once per finished run (the end of a faulted
+/// ingest, the driver's end of Run); counters accumulate across runs.
 void PublishFaultStats(const FaultStats& stats);
 
-/// Per-site cursor over a FaultPlan: each injection site (ingest router,
-/// simulation driver, SGT coordinator) constructs its own injector filtered
-/// to the kinds it interprets, then polls it with its own monotone tick.
-/// Sites keep a *pointer* that is null when chaos is off, so a disabled
-/// hook costs one branch — the zero-cost-when-disabled discipline measured
-/// by bench_fault_overhead.
+/// Per-site cursor over a FaultPlan: each injection site (faulted certifier
+/// ingest, simulation driver, SGT coordinator) constructs its own injector
+/// filtered to the kinds it interprets, then polls it with its own monotone
+/// tick. The driver and coordinator keep a *pointer* that is null when chaos
+/// is off, so a disabled hook costs one branch.
 class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, std::initializer_list<FaultKind> kinds);
@@ -56,11 +47,6 @@ class FaultInjector {
   /// Returns true iff anything fired.
   bool Poll(uint64_t tick, std::vector<FaultEvent>* fired);
 
-  /// Consumes one queued kRestartFail for `target`; returns false when none
-  /// remain (the restart attempt succeeds). Counted-not-scheduled: restart
-  /// attempts have no global tick.
-  bool TakeRestartFail(uint64_t target);
-
   /// Events of the filtered kinds that the site never reached (e.g. the
   /// trace ended first).
   size_t pending() const { return events_.size() - next_; }
@@ -69,9 +55,8 @@ class FaultInjector {
   const FaultStats& stats() const { return stats_; }
 
  private:
-  std::vector<FaultEvent> events_;  // sorted by at; excludes kRestartFail
+  std::vector<FaultEvent> events_;  // sorted by at
   size_t next_ = 0;
-  std::unordered_map<uint64_t, size_t> restart_fails_;  // target -> count
   FaultStats stats_;
 };
 

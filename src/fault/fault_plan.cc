@@ -9,18 +9,10 @@ namespace ntsg {
 
 const char* FaultKindName(FaultKind kind) {
   switch (kind) {
-    case FaultKind::kCrashWorker:
-      return "crash-worker";
-    case FaultKind::kRestartFail:
-      return "restart-fail";
-    case FaultKind::kDelayDelivery:
-      return "delay-delivery";
-    case FaultKind::kDuplicateDelivery:
-      return "duplicate-delivery";
-    case FaultKind::kReorderDelivery:
-      return "reorder-delivery";
-    case FaultKind::kSnapshotWorker:
-      return "snapshot-worker";
+    case FaultKind::kCrash:
+      return "crash";
+    case FaultKind::kSnapshot:
+      return "snapshot";
     case FaultKind::kInjectAbort:
       return "inject-abort";
     case FaultKind::kSpuriousReject:
@@ -30,7 +22,6 @@ const char* FaultKindName(FaultKind kind) {
 }
 
 FaultPlan FaultPlan::Generate(uint64_t seed, uint64_t horizon,
-                              size_t num_shards,
                               const FaultPlanParams& params) {
   FaultPlan plan;
   if (horizon == 0) return plan;
@@ -40,28 +31,16 @@ FaultPlan FaultPlan::Generate(uint64_t seed, uint64_t horizon,
       FaultEvent e;
       e.at = rng.NextBelow(horizon);
       e.kind = kind;
-      e.target = num_shards > 0 ? rng.NextBelow(num_shards) : 0;
-      switch (kind) {
-        case FaultKind::kDelayDelivery:
-          e.param = 1 + rng.NextBelow(std::max<uint64_t>(params.max_delay, 1));
-          break;
-        case FaultKind::kInjectAbort:
-          // Deterministic victim selector; the site reduces it modulo the
-          // live set at firing time.
-          e.param = rng.NextU64();
-          break;
-        default:
-          break;
+      if (kind == FaultKind::kInjectAbort) {
+        // Deterministic victim selector; the site reduces it modulo the live
+        // set at firing time.
+        e.param = rng.NextU64();
       }
       plan.events.push_back(e);
     }
   };
-  emit(FaultKind::kCrashWorker, params.crashes);
-  emit(FaultKind::kRestartFail, params.restart_fails);
-  emit(FaultKind::kDelayDelivery, params.delays);
-  emit(FaultKind::kDuplicateDelivery, params.duplicates);
-  emit(FaultKind::kReorderDelivery, params.reorders);
-  emit(FaultKind::kSnapshotWorker, params.snapshots);
+  emit(FaultKind::kCrash, params.crashes);
+  emit(FaultKind::kSnapshot, params.snapshots);
   emit(FaultKind::kInjectAbort, params.injected_aborts);
   emit(FaultKind::kSpuriousReject, params.spurious_rejects);
   std::stable_sort(plan.events.begin(), plan.events.end(),
@@ -74,8 +53,7 @@ FaultPlan FaultPlan::Generate(uint64_t seed, uint64_t horizon,
 std::string FaultPlan::ToString() const {
   std::ostringstream out;
   for (const FaultEvent& e : events) {
-    out << "@" << e.at << " " << FaultKindName(e.kind) << " target="
-        << e.target;
+    out << "@" << e.at << " " << FaultKindName(e.kind);
     if (e.param != 0) out << " param=" << e.param;
     out << "\n";
   }

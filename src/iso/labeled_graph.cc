@@ -50,9 +50,9 @@ LabeledSg::LabeledSg(const std::vector<LabeledSiblingEdge>& conflict,
 }
 
 LabeledSg LabeledSg::Build(const SystemType& type, const Trace& beta,
-                           ConflictMode mode, size_t num_threads) {
+                           ConflictMode mode) {
   Trace serial = SerialPart(beta);
-  return LabeledSg(LabeledConflictRelation(type, serial, mode, num_threads),
+  return LabeledSg(LabeledConflictRelation(type, serial, mode),
                    PrecedesRelation(type, serial));
 }
 

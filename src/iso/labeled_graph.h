@@ -50,7 +50,7 @@ class LabeledSg {
   /// Convenience: LabeledConflictRelation + PrecedesRelation over the
   /// serial actions of `beta`.
   static LabeledSg Build(const SystemType& type, const Trace& beta,
-                         ConflictMode mode, size_t num_threads = 1);
+                         ConflictMode mode);
 
   const std::vector<IsoEdge>& edges() const { return edges_; }
   size_t conflict_edge_count() const { return conflict_count_; }

@@ -39,8 +39,7 @@ constexpr size_t kNumSimSources = sizeof(kSimSources) / sizeof(kSimSources[0]);
 MinerReport MineAnomalies(const MinerOptions& options) {
   const obs::IsoMetrics& metrics = obs::GetIsoMetrics();
   MinerReport report;
-  IsoCheckOptions check;
-  check.num_threads = options.num_threads;
+  const IsoCheckOptions check;
 
   for (size_t i = 0; i < options.runs; ++i) {
     metrics.miner_runs->Inc();

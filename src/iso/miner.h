@@ -17,7 +17,6 @@ struct MinerOptions {
   /// templates; odd points run the differential-fuzz workload generator
   /// against a deliberately broken backend (rotating through all of them).
   size_t runs = 64;
-  size_t num_threads = 1;
 };
 
 /// One mined counterexample: an execution rejected at the serializable

@@ -14,7 +14,6 @@
 #include "obs/timeline.h"
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 
 namespace ntsg::load {
 
@@ -60,11 +59,8 @@ std::vector<uint64_t> BuildSchedule(size_t n, const LoadOptions& opt) {
 }
 
 /// Admission target: one certifier mode behind a uniform interface. The
-/// epoch verdict is "ok"/"rejected" only where a mid-stream read is
-/// deterministic (the incremental certifier on the ingesting thread);
-/// batch certifies nothing until Finish and the pipeline's mid-stream
-/// acyclicity flag races worker threads, so both report "pending" — the
-/// price of the byte-identical-across-shard-counts timeline contract.
+/// incremental certifier reports its live "ok"/"rejected" verdict at every
+/// epoch; batch certifies nothing until Finish, so it reports "pending".
 class Sink {
  public:
   struct Final {
@@ -81,7 +77,6 @@ class Sink {
   virtual void EpochBoundary() {}
   virtual const char* EpochVerdict() const = 0;
   virtual GcStats EpochGc() const = 0;
-  virtual uint64_t QueueDepth() = 0;
   virtual Final Finish() = 0;
 };
 
@@ -93,7 +88,6 @@ class BatchSink : public Sink {
   void Admit(const Action& a) override { collected_.push_back(a); }
   const char* EpochVerdict() const override { return "pending"; }
   GcStats EpochGc() const override { return GcStats{}; }
-  uint64_t QueueDepth() override { return 0; }
 
   Final Finish() override {
     CertifierReport report = CertifySeriallyCorrect(type_, collected_, mode_);
@@ -126,7 +120,6 @@ class IncrementalSink : public Sink {
     return cert_.verdict().ok() ? "ok" : "rejected";
   }
   GcStats EpochGc() const override { return cert_.gc_stats(); }
-  uint64_t QueueDepth() override { return buffer_.size(); }
 
   Final Finish() override {
     Flush();
@@ -146,43 +139,13 @@ class IncrementalSink : public Sink {
   std::vector<Action> buffer_;
 };
 
-class ShardedSink : public Sink {
- public:
-  ShardedSink(const SystemType& type, ConflictMode mode,
-              const ConcurrentIngestConfig& config)
-      : pipe_(type, mode, config) {}
-
-  void Admit(const Action& a) override { pipe_.Ingest(a); }
-  const char* EpochVerdict() const override { return "pending"; }
-  GcStats EpochGc() const override { return pipe_.gc_stats(); }
-  uint64_t QueueDepth() override { return pipe_.TotalQueueDepth(); }
-
-  Final Finish() override {
-    ConcurrentIngestReport report = pipe_.Finish();
-    return Final{report.appropriate, report.acyclic, report.gc};
-  }
-
- private:
-  ConcurrentIngestPipeline pipe_;
-};
-
 std::unique_ptr<Sink> MakeSink(const WorkloadInstance& wl,
                                const LoadOptions& opt) {
-  switch (opt.mode) {
-    case CertMode::kBatch:
-      return std::make_unique<BatchSink>(*wl.type, wl.mode);
-    case CertMode::kIncremental:
-      return std::make_unique<IncrementalSink>(*wl.type, wl.mode,
-                                               opt.gc_interval, opt.batch);
-    case CertMode::kSharded: {
-      ConcurrentIngestConfig config;
-      config.num_shards = opt.shards;
-      config.gc_interval = opt.gc_interval;
-      config.batch_max = opt.batch;
-      return std::make_unique<ShardedSink>(*wl.type, wl.mode, config);
-    }
+  if (opt.mode == CertMode::kBatch) {
+    return std::make_unique<BatchSink>(*wl.type, wl.mode);
   }
-  return nullptr;
+  return std::make_unique<IncrementalSink>(*wl.type, wl.mode, opt.gc_interval,
+                                           opt.batch);
 }
 
 }  // namespace
@@ -193,8 +156,6 @@ const char* CertModeName(CertMode m) {
       return "batch";
     case CertMode::kIncremental:
       return "incremental";
-    case CertMode::kSharded:
-      return "sharded";
   }
   return "?";
 }
@@ -204,8 +165,6 @@ bool ParseCertMode(const std::string& s, CertMode* out) {
     *out = CertMode::kBatch;
   } else if (s == "incremental") {
     *out = CertMode::kIncremental;
-  } else if (s == "sharded") {
-    *out = CertMode::kSharded;
   } else {
     return false;
   }
@@ -216,7 +175,6 @@ Status RunLoad(const WorkloadInstance& wl, const LoadOptions& opt,
                LoadReport* out) {
   NTSG_CHECK(opt.rate > 0);
   NTSG_CHECK(opt.epochs > 0);
-  NTSG_CHECK(opt.shards > 0);
   *out = LoadReport{};
   out->mode = opt.mode;
   out->offered_rate = opt.rate;
@@ -267,7 +225,6 @@ Status RunLoad(const WorkloadInstance& wl, const LoadOptions& opt,
         e.p95_us = lat.Quantile(0.95);
         e.p99_us = lat.Quantile(0.99);
         e.p999_us = lat.Quantile(0.999);
-        e.queue_depth = sink->QueueDepth();
         e.wall_elapsed_s =
             static_cast<double>(NowUs() - wall_start) / 1e6;
         e.metrics_json =

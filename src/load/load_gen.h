@@ -15,11 +15,10 @@ namespace ntsg::load {
 enum class CertMode : uint8_t {
   kBatch,        // collect the stream, CertifySeriallyCorrect at the end
   kIncremental,  // IncrementalCertifier, verdict live at every epoch
-  kSharded,      // ConcurrentIngestPipeline (worker threads)
 };
 
 const char* CertModeName(CertMode m);
-/// Parses "batch" | "incremental" | "sharded"; false on anything else.
+/// Parses "batch" | "incremental"; false on anything else.
 bool ParseCertMode(const std::string& s, CertMode* out);
 
 /// Open-loop run configuration. The arrival schedule — one virtual
@@ -39,16 +38,12 @@ struct LoadOptions {
   /// Timeline epochs the virtual-time span is divided into; > 0.
   size_t epochs = 10;
   CertMode mode = CertMode::kIncremental;
-  /// Worker threads for kSharded.
-  size_t shards = 4;
-  /// Commit-watermark GC interval for incremental/sharded; 0 = off.
+  /// Commit-watermark GC interval for incremental; 0 = off.
   size_t gc_interval = 0;
   /// >1 enables epoch-batched admission: the incremental sink buffers up to
   /// this many actions and commits them with one IngestBatch (flushing at
   /// every timeline epoch boundary and at Finish, so epoch verdicts stay
-  /// deterministic); the sharded sink passes it through as the workers'
-  /// batch_max (queue runs drained and committed per stripe in one batched
-  /// reorder). 0 or 1 = per-event. Verdicts are batching-independent.
+  /// deterministic). 0 or 1 = per-event. Verdicts are batching-independent.
   size_t batch = 0;
   /// Sleep until each arrival's scheduled wall time (true measurement);
   /// false admits back-to-back and records pure service time — what the
@@ -57,9 +52,9 @@ struct LoadOptions {
   bool pace = true;
   /// Non-empty streams a per-epoch NDJSON timeline here.
   std::string timeline_path;
-  /// Adds the wall-clock fields (latency quantiles, queue depth, metrics
-  /// snapshot) to each timeline record. Off, the timeline carries only the
-  /// deterministic core and is byte-identical across runs and shard counts.
+  /// Adds the wall-clock fields (latency quantiles, metrics snapshot) to
+  /// each timeline record. Off, the timeline carries only the deterministic
+  /// core and is byte-identical across runs.
   bool timeline_wallclock = false;
 };
 

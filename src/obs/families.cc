@@ -28,6 +28,9 @@ const CertifierMetrics& GetCertifierMetrics() {
                        "Visibility-tracker items fired by a commit"),
       Reg().GetCounter("ntsg_certifier_conflict_edges_total",
                        "Distinct conflict edges inserted"),
+      Reg().GetCounter("ntsg_certifier_conflict_edges_emitted_total",
+                       "Conflict edges emitted by object frontiers, before "
+                       "cross-object dedup"),
       Reg().GetCounter("ntsg_certifier_precedes_edges_total",
                        "Distinct precedes edges inserted"),
       Reg().GetCounter("ntsg_certifier_cycle_rejections_total",
@@ -52,37 +55,6 @@ const SgtMetrics& GetSgtMetrics() {
                        "Trial-insert admission check latency"),
   };
   return m;
-}
-
-const IngestMetrics& GetIngestMetrics() {
-  static const IngestMetrics m = {
-      Reg().GetCounter("ntsg_ingest_actions_total",
-                       "Actions routed through ingest pipelines"),
-      Reg().GetCounter("ntsg_ingest_ops_routed_total",
-                       "Visible operations dispatched to shard queues"),
-      Reg().GetShardedCounter("ntsg_ingest_ops_processed_total",
-                              "Operations applied by shard workers"),
-      Reg().GetCounter("ntsg_ingest_backpressure_waits_total",
-                       "Pushes that blocked on a full shard queue"),
-      Reg().GetCounter("ntsg_ingest_worker_restarts_total",
-                       "Shard workers restarted after a crash"),
-      LatencyHistogram("ntsg_ingest_delivery_lag_us",
-                       "Queue residency from push to worker apply"),
-      LatencyHistogram("ntsg_ingest_snapshot_us",
-                       "Shard snapshot (checkpoint) duration"),
-      LatencyHistogram("ntsg_ingest_replay_us",
-                       "Crash-recovery snapshot-restore-plus-log-replay "
-                       "duration"),
-      LatencyHistogram("ntsg_ingest_stripe_lock_wait_us",
-                       "Wait to acquire a graph stripe mutex"),
-  };
-  return m;
-}
-
-Gauge* IngestQueueDepthGauge(size_t shard) {
-  return Reg().GetGauge("ntsg_ingest_queue_depth",
-                        "Operations queued per shard",
-                        "shard=\"" + std::to_string(shard) + "\"");
 }
 
 const DriverMetrics& GetDriverMetrics() {
@@ -119,8 +91,6 @@ const SgBuildMetrics& GetSgBuildMetrics() {
       Reg().GetCounter("ntsg_sg_class_pair_evals_total",
                        "Operation-class conflict verdicts computed (each "
                        "distinct pair once; skipped pairs never appear)"),
-      Reg().GetCounter("ntsg_sg_parallel_merges_total",
-                       "Per-shard edge sets merged by parallel batch builds"),
       LatencyHistogram("ntsg_lca_level_build_us",
                        "Backfill of one new binary-lifting ancestor level"),
       LatencyHistogram("ntsg_sg_batch_build_us",
@@ -154,23 +124,11 @@ const GcMetrics& GetGcMetrics() {
 const FaultMetrics& GetFaultMetrics() {
   static const FaultMetrics m = {
       Reg().GetCounter("ntsg_fault_crashes_total",
-                       "Worker crashes delivered"),
-      Reg().GetCounter("ntsg_fault_restart_attempts_total",
-                       "Worker restart attempts"),
-      Reg().GetCounter("ntsg_fault_restart_failures_total",
-                       "Worker restart attempts that failed"),
-      Reg().GetCounter("ntsg_fault_restarts_total",
-                       "Workers successfully restarted"),
-      Reg().GetCounter("ntsg_fault_delays_total",
-                       "Delivery delays injected"),
-      Reg().GetCounter("ntsg_fault_duplicates_total",
-                       "Deliveries duplicated"),
-      Reg().GetCounter("ntsg_fault_reorders_total",
-                       "Deliveries reordered"),
+                       "Certifier crashes delivered"),
       Reg().GetCounter("ntsg_fault_snapshots_total",
-                       "Snapshot faults delivered"),
-      Reg().GetCounter("ntsg_fault_items_replayed_total",
-                       "Logged items replayed during recovery"),
+                       "Certifier snapshots taken"),
+      Reg().GetCounter("ntsg_fault_actions_replayed_total",
+                       "Actions re-ingested after a crash restore"),
       Reg().GetCounter("ntsg_fault_injected_aborts_total",
                        "Controller aborts injected by a fault plan"),
       Reg().GetCounter("ntsg_fault_spurious_rejects_total",
@@ -256,8 +214,6 @@ const BatchMetrics& GetBatchMetrics() {
 void RegisterAllMetricFamilies() {
   (void)GetCertifierMetrics();
   (void)GetSgtMetrics();
-  (void)GetIngestMetrics();
-  (void)IngestQueueDepthGauge(0);
   (void)GetDriverMetrics();
   (void)GetSgBuildMetrics();
   (void)GetGcMetrics();

@@ -13,7 +13,7 @@ namespace ntsg::obs {
 /// pointers; the bundles double as the canonical list of family names for
 /// DESIGN.md and the scrape tests.
 ///
-/// Counters are process-wide totals: every certifier / pipeline / scheduler
+/// Counters are process-wide totals: every certifier / scheduler
 /// instance in the process records into the same families (a scrape answers
 /// "what has this process done", not "what has this object done").
 
@@ -25,6 +25,9 @@ struct CertifierMetrics {
   Counter* ops_dropped;         // ntsg_certifier_ops_dropped_total
   Counter* visibility_fired;    // ntsg_certifier_visibility_fired_total
   Counter* conflict_edges;      // ntsg_certifier_conflict_edges_total
+  /// Frontier output before the certifier-level dedup; with conflict_edges
+  /// this is the stream's dedup ratio.
+  Counter* conflict_edges_emitted;  // ..._conflict_edges_emitted_total
   Counter* precedes_edges;      // ntsg_certifier_precedes_edges_total
   Counter* cycle_rejections;    // ntsg_certifier_cycle_rejections_total
   Histogram* edge_insert_us;    // ntsg_certifier_edge_insert_us
@@ -41,24 +44,6 @@ struct SgtMetrics {
 };
 const SgtMetrics& GetSgtMetrics();
 
-/// ConcurrentIngestPipeline: routing, shard queues, recovery machinery.
-struct IngestMetrics {
-  Counter* actions_ingested;        // ntsg_ingest_actions_total
-  Counter* ops_routed;              // ntsg_ingest_ops_routed_total
-  ShardedCounter* ops_processed;    // ntsg_ingest_ops_processed_total
-  Counter* backpressure_waits;      // ntsg_ingest_backpressure_waits_total
-  Counter* worker_restarts;         // ntsg_ingest_worker_restarts_total
-  Histogram* delivery_lag_us;       // ntsg_ingest_delivery_lag_us
-  Histogram* snapshot_us;           // ntsg_ingest_snapshot_us
-  Histogram* replay_us;             // ntsg_ingest_replay_us
-  Histogram* stripe_lock_wait_us;   // ntsg_ingest_stripe_lock_wait_us
-};
-const IngestMetrics& GetIngestMetrics();
-
-/// Per-shard queue depth gauge (ntsg_ingest_queue_depth{shard="i"}); the
-/// pipeline resolves one per shard at construction.
-Gauge* IngestQueueDepthGauge(size_t shard);
-
 /// Simulation driver: scheduler progress and aborts by cause.
 struct DriverMetrics {
   Counter* steps;               // ntsg_driver_steps_total
@@ -71,15 +56,13 @@ struct DriverMetrics {
 const DriverMetrics& GetDriverMetrics();
 
 /// SG(β) batch construction fast path: ancestor-index maintenance, conflict
-/// frontier probe effectiveness, memoized class-pair work, and the parallel
-/// object-sharded build.
+/// frontier probe effectiveness, and memoized class-pair work.
 struct SgBuildMetrics {
   Counter* conflict_edges_emitted;  // ntsg_sg_conflict_edges_emitted_total
   Counter* precedes_edges_emitted;  // ntsg_sg_precedes_edges_emitted_total
   Counter* frontier_hits;           // ntsg_sg_frontier_hits_total
   Counter* frontier_misses;         // ntsg_sg_frontier_misses_total
   Counter* class_pair_evals;        // ntsg_sg_class_pair_evals_total
-  Counter* parallel_merges;         // ntsg_sg_parallel_merges_total
   Histogram* lca_level_build_us;    // ntsg_lca_level_build_us
   Histogram* batch_build_us;        // ntsg_sg_batch_build_us
 };
@@ -104,14 +87,8 @@ const GcMetrics& GetGcMetrics();
 /// PublishFaultStats in fault/fault_injector.h).
 struct FaultMetrics {
   Counter* crashes;             // ntsg_fault_crashes_total
-  Counter* restart_attempts;    // ntsg_fault_restart_attempts_total
-  Counter* restart_failures;    // ntsg_fault_restart_failures_total
-  Counter* restarts;            // ntsg_fault_restarts_total
-  Counter* delays;              // ntsg_fault_delays_total
-  Counter* duplicates;          // ntsg_fault_duplicates_total
-  Counter* reorders;            // ntsg_fault_reorders_total
   Counter* snapshots;           // ntsg_fault_snapshots_total
-  Counter* items_replayed;      // ntsg_fault_items_replayed_total
+  Counter* actions_replayed;    // ntsg_fault_actions_replayed_total
   Counter* injected_aborts;     // ntsg_fault_injected_aborts_total
   Counter* spurious_rejects;    // ntsg_fault_spurious_rejects_total
 };
@@ -164,7 +141,7 @@ struct BatchMetrics {
 };
 const BatchMetrics& GetBatchMetrics();
 
-/// Forces registration of every family above (plus queue-depth shard 0), so
+/// Forces registration of every family above, so
 /// a snapshot taken before any workload still exposes the full schema with
 /// zero values — what `ntsg certify --metrics-out` relies on.
 void RegisterAllMetricFamilies();

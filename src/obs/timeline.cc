@@ -43,7 +43,6 @@ std::string TimelineEmitter::RenderLine(const TimelineEpoch& e,
     out << ",\"p50_us\":" << Fixed3(e.p50_us) << ",\"p95_us\":"
         << Fixed3(e.p95_us) << ",\"p99_us\":" << Fixed3(e.p99_us)
         << ",\"p999_us\":" << Fixed3(e.p999_us)
-        << ",\"queue_depth\":" << e.queue_depth
         << ",\"wall_elapsed_s\":" << Fixed3(e.wall_elapsed_s);
     if (!e.metrics_json.empty()) out << ",\"metrics\":" << e.metrics_json;
   }

@@ -19,8 +19,8 @@ namespace ntsg::obs {
 /// reduces to one relaxed load and a branch — the budget bench_trace_overhead
 /// pins at <1ns per site.
 ///
-/// Like metrics, tracing is strictly write-only: no certifier, pipeline, or
-/// scheduler decision ever reads an event, so enabling traces cannot move a
+/// Like metrics, tracing is strictly write-only: no certifier or scheduler
+/// decision ever reads an event, so enabling traces cannot move a
 /// verdict or a graph fingerprint (obs_trace_test runs both ways).
 bool TraceEnabled();
 void SetTraceEnabled(bool enabled);
@@ -29,7 +29,7 @@ void SetTraceEnabled(bool enabled);
 /// the a/b/arg field meanings per kind are documented in DESIGN.md §8 and
 /// encoded for the exporters by TraceEventFieldInfo below.
 enum class TraceEventKind : uint8_t {
-  kActionIngested,   // certifier/router consumed an action (a=tx, b=ActionKind, arg=pos)
+  kActionIngested,   // certifier consumed an action        (a=tx, b=ActionKind, arg=pos)
   kActionExecuted,   // driver executed an action           (a=tx, b=ActionKind, arg=step)
   kSpanBegin,        // REQUEST_CREATE(a): a's interval opens under parent b (arg=pos)
   kSpanEnd,          // REPORT_COMMIT/ABORT(a): a's interval closes (arg=pos)
@@ -37,19 +37,16 @@ enum class TraceEventKind : uint8_t {
   kOpParked,         // operation parked on an ancestor     (a=tx, arg=pos)
   kOpFired,          // parked item released by a COMMIT    (a=tx, arg=tag)
   kOpDropped,        // parked item killed by an ABORT      (a=tx, arg=tag)
-  kOpRouted,         // pipeline router -> shard            (a=tx, b=shard, arg=pos)
-  kOpApplied,        // pipeline worker applied an op       (a=tx, b=shard, arg=pos)
   kEdgeInserted,     // SG edge from=a to=b under span      (flags: conflict/precedes)
   kEdgeRejected,     // cycle-closing edge refused          (a=from, b=to)
   kEdgeRemoved,      // abort expunged edge                 (a=from, b=to)
   kTopoReorder,      // Pearce-Kelly region reorder         (a=from, b=to, arg=region size)
   kAdmissionCheck,   // SGT trial insert                    (a=tx, arg=#edges, flags: reject)
   kVerdictRejected,  // certifier verdict flipped not-OK    (arg=pos, flags: cause)
-  kFaultFired,       // injector released a fault           (a=target, b=FaultKind, arg=param)
-  kWorkerCrash,      // injected shard-worker crash         (a=shard)
-  kWorkerRestart,    // shard worker restarted              (a=shard, arg=attempts)
-  kSnapshot,         // shard snapshot taken                (a=shard, arg=log length)
-  kReplay,           // shard recovered by log replay       (a=shard, arg=items replayed)
+  kFaultFired,       // injector released a fault           (b=FaultKind, arg=param)
+  kCrash,            // injected certifier crash            (arg=pos)
+  kSnapshot,         // certifier snapshot taken            (arg=pos)
+  kReplay,           // certifier restored and re-ingested  (arg=actions replayed)
   kStallAbort,       // driver aborted a stalled tx         (a=victim, arg=step)
   kInjectedAbort,    // plan/spontaneous abort              (a=victim, arg=step)
   kGcRun,            // watermark GC pass                   (a=#families retired, arg=watermark)
@@ -97,7 +94,7 @@ struct TraceEvent {
 
 /// Bounded per-thread event buffer — the flight recorder. Only the owning
 /// thread appends; readers snapshot from a quiescent state (workers joined),
-/// which is the only dump discipline the pipeline and CLI use.
+/// which is the only dump discipline the CLI and tests use.
 class TraceRing {
  public:
   TraceRing(uint32_t tid, size_t capacity)
@@ -133,9 +130,8 @@ using TraceNameFn = std::function<std::string(uint32_t)>;
 /// Owner of every ring. Threads get a ring lazily on first emit (mutex only
 /// then); afterwards the hot path is a thread_local pointer store. Rings
 /// outlive their threads — a thread's exit returns its ring to a free list
-/// and a successor thread (e.g. a restarted shard worker) inherits it with
-/// its history intact, so a crashed worker's last events survive into the
-/// flight-recorder dump. Export/dump calls must run from a quiescent state
+/// and a successor thread inherits it with its history intact, so an exited
+/// thread's last events survive into the flight-recorder dump. Export/dump calls must run from a quiescent state
 /// (no concurrent emitters), which every in-tree caller guarantees by
 /// joining workers first.
 class TraceRecorder {

@@ -62,8 +62,7 @@ CertifierReport CertifySeriallyCorrect(const SystemType& type,
                       : CheckAppropriateReturnValuesGeneral(type, serial);
   report.appropriate_return_values = values.ok();
 
-  SerializationGraph sg =
-      SerializationGraph::Build(type, serial, mode, options.num_threads);
+  SerializationGraph sg = SerializationGraph::Build(type, serial, mode);
   report.conflict_edge_count = sg.conflict_edges().size();
   report.precedes_edge_count = sg.precedes_edges().size();
   report.cycle = sg.FindCycle();

@@ -26,12 +26,6 @@ struct CertifierReport {
 };
 
 struct CertifyOptions {
-  /// Worker threads for the batch conflict-relation build. Objects are
-  /// sharded across workers (the ConcurrentIngestPipeline decomposition)
-  /// and the per-shard edge sets merged before the acyclicity check; the
-  /// report is identical for every thread count. 1 = fully sequential.
-  size_t num_threads = 1;
-
   /// Nonzero switches from the batch build to the streaming certifier with
   /// commit-watermark GC running every `gc_watermark` actions, so peak
   /// memory tracks the live transaction population instead of the trace

@@ -104,19 +104,15 @@ bool AccessOpsConflict(const SystemType& type, ConflictMode mode, TxName u,
 /// SerialPart first for generic behaviors).
 ///
 /// Built per object by ObjectConflictFrontier (work proportional to edge
-/// candidates, not operation pairs; see conflict_frontier.h). With
-/// `num_threads` > 1 the per-object builds are sharded across that many
-/// worker threads (objects are independent — the same decomposition
-/// ConcurrentIngestPipeline uses) and the edge sets merged afterwards.
+/// candidates, not operation pairs; see conflict_frontier.h).
 ///
 /// Ordering guarantee: the returned vector is deduplicated and sorted by
-/// (parent, from, to), independent of `num_threads` and thread scheduling.
+/// (parent, from, to).
 /// FingerprintSerializationGraph and the adjacency construction in
 /// SerializationGraph rely on this canonical order; so do the golden
 /// explain transcripts.
 std::vector<SiblingEdge> ConflictRelation(const SystemType& type,
-                                          const Trace& beta, ConflictMode mode,
-                                          size_t num_threads = 1);
+                                          const Trace& beta, ConflictMode mode);
 
 /// conflict(β) with per-edge dependency labels: the same edge set as
 /// ConflictRelation (same ordering guarantee, same dedup), with each edge
@@ -124,9 +120,9 @@ std::vector<SiblingEdge> ConflictRelation(const SystemType& type,
 /// a representative object. Built by the same ObjectConflictFrontier with
 /// label tracking enabled; when two objects induce the same sibling edge
 /// their labels are OR-merged and the smallest object id kept.
-std::vector<LabeledSiblingEdge> LabeledConflictRelation(
-    const SystemType& type, const Trace& beta, ConflictMode mode,
-    size_t num_threads = 1);
+std::vector<LabeledSiblingEdge> LabeledConflictRelation(const SystemType& type,
+                                                        const Trace& beta,
+                                                        ConflictMode mode);
 
 /// precedes(β) (Section 4): (T, T') siblings whose common parent is visible
 /// to T0 in β, with a report event for T preceding REQUEST_CREATE(T') in β.

@@ -12,7 +12,7 @@ namespace ntsg {
 /// *sets* of conflict and precedes edges: edges are sorted and hashed
 /// (FNV-1a) with a tag separating the two relations, so any two certifiers
 /// that agree on the edge sets agree on the fingerprint — regardless of
-/// discovery order, sharding, or faults injected along the way. This is the
+/// discovery order, batching, or faults injected along the way. This is the
 /// byte-identity the chaos tests and the golden corpus pin down.
 uint64_t FingerprintSerializationGraph(std::vector<SiblingEdge> conflict_edges,
                                        std::vector<SiblingEdge> precedes_edges);

@@ -558,6 +558,7 @@ void IncrementalCertifier::ActivateOp(uint64_t pos, TxName tx,
   if (was_legal != state.legal()) {
     illegal_objects_ += was_legal ? 1 : -1;
   }
+  obs::GetCertifierMetrics().conflict_edges_emitted->Inc(edge_scratch_.size());
   for (const SiblingEdge& e : edge_scratch_) {
     if (conflict_edges_.Insert(e)) {
       obs::GetCertifierMetrics().conflict_edges->Inc();

@@ -130,8 +130,7 @@ class VisibilityTracker {
 /// handles the out-of-order insert natively).
 ///
 /// Copyable (the serial-spec replay state clones; the frontier has value
-/// semantics), which is what shard snapshots and certifier restore points
-/// are made of. Re-inserting an already present (pos, tx, value) — a
+/// semantics), which is what certifier restore points are made of. Re-inserting an already present (pos, tx, value) — a
 /// duplicated delivery — is an exact no-op, so at-least-once delivery
 /// cannot shift the verdict.
 class ObjectIngestState {

@@ -44,6 +44,13 @@ TEST(CliExitCodeTest, UsageErrorsReturn2) {
   EXPECT_EQ(RunCli("run --no-such-flag"), 2);      // unknown flag
   EXPECT_EQ(RunCli("run --seed"), 2);              // flag missing its value
   EXPECT_EQ(RunCli("trace --toplevel 2"), 2);      // trace needs --trace-out
+  // There is no sharded certifier: its flag and mode are usage errors.
+  EXPECT_EQ(RunCli("chaos --toplevel 2 --shards 2"), 2);
+  EXPECT_EQ(RunCli("stats --toplevel 2 --shards 2"), 2);
+  EXPECT_EQ(RunCli("isolate --mine --runs 2 --shards 2"), 2);
+  EXPECT_EQ(RunCli("load --certifier sharded"), 2);
+  // The write-ahead log rides the online certifier only.
+  EXPECT_EQ(RunCli("chaos --toplevel 2 --wal " + TempPath("ntsg_cli_wal")), 2);
 }
 
 TEST(CliExitCodeTest, UnwritableOutputPathsReturn2BeforeAnyWork) {
@@ -209,8 +216,8 @@ TEST(CliExitCodeTest, LoadRunsWriteTimelineAndAgreeAcrossModes) {
   EXPECT_NE(first.find("\"verdict\":"), std::string::npos) << first;
   std::remove(tl.c_str());
 
-  // --certifier all demands batch, incremental, and sharded agree; a clean
-  // workload certifies everywhere, so the run exits 0, not 3.
+  // --certifier all demands batch and incremental agree; a clean workload
+  // certifies under both, so the run exits 0, not 3.
   EXPECT_EQ(RunCli("load --workload commute --toplevel 12 --objects 6 "
                    "--seed 2 --no-pace --certifier all"),
             0);
@@ -249,19 +256,21 @@ TEST(CliExitCodeTest, MetricsOutWritesScrapeParseableSnapshot) {
   ASSERT_TRUE(
       WriteTraceFile(trace_path, *run.type, run.sim.trace).ok());
 
+  EXPECT_EQ(RunCli("certify " + trace_path + " --online --shards 2"), 2);
   std::string prom = TempPath("ntsg_cli_metrics.prom");
-  EXPECT_EQ(RunCli("certify " + trace_path + " --online --shards 2" +
-                   " --metrics-out=" + prom),
+  EXPECT_EQ(RunCli("certify " + trace_path + " --online --metrics-out=" + prom),
             0);
   std::ifstream in(prom);
   ASSERT_TRUE(in.good()) << prom;
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  // The snapshot names every layer's family — certifier, ingest, and fault
+  // The snapshot names every layer's family — certifier, GC, and fault
   // recovery — and the certifier actually counted this trace's actions.
   EXPECT_NE(text.find("# TYPE ntsg_certifier_actions_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("ntsg_ingest_ops_processed_total"), std::string::npos);
+  EXPECT_NE(text.find("ntsg_certifier_conflict_edges_emitted_total"),
+            std::string::npos);
+  EXPECT_NE(text.find("ntsg_gc_runs_total"), std::string::npos);
   EXPECT_NE(text.find("ntsg_fault_crashes_total"), std::string::npos);
   EXPECT_EQ(text.find("ntsg_certifier_actions_total 0\n"), std::string::npos)
       << "certifier family never counted:\n"

@@ -11,10 +11,7 @@
 //     fingerprint equals U's fingerprint restricted to G's live scope
 //     (FingerprintLiveScope over G's retired roots);
 //   * the batch entry point with CertifyOptions::gc_watermark set agrees
-//     with the plain batch build on the full behavior;
-//   * the sharded pipeline with gc_interval retires the same families as a
-//     solo certifier at the same interval (the fault-free schedules are
-//     identical by construction) and lands on the same live fingerprint.
+//     with the plain batch build on the full behavior.
 //
 // Coverage comes from two directions: the golden corpus (both conflict
 // modes, accepting and rejecting traces, including deliberately broken
@@ -33,7 +30,6 @@
 
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 #include "sim/driver.h"
 #include "tx/trace_io.h"
 
@@ -104,9 +100,9 @@ void EveryPrefixDifferential(const SystemType& type, const Trace& beta,
   *retired_out += pruned.retired_roots().size();
 }
 
-/// Full-behavior checks across the other entry points: the batch API with
-/// gc_watermark, and the sharded pipeline with gc_interval. Returns the
-/// pipeline's retired-family count.
+/// Full-behavior checks: the batch API with gc_watermark against the plain
+/// batch build, and the collecting certifier's final verdict and live
+/// fingerprint against an unpruned twin. Returns the retired-family count.
 size_t WholeTraceLayers(const SystemType& type, const Trace& beta,
                         ConflictMode mode, size_t interval,
                         const std::string& label) {
@@ -126,25 +122,14 @@ size_t WholeTraceLayers(const SystemType& type, const Trace& beta,
   solo.IngestTrace(beta);
   IncrementalCertifier unpruned(type, mode);
   unpruned.IngestTrace(beta);
-
-  ConcurrentIngestConfig config;
-  config.num_shards = 3;
-  config.seed = 42;
-  config.gc_interval = interval;
-  ConcurrentIngestReport pipe =
-      ConcurrentIngestPipeline::Run(type, beta, mode, config);
-  EXPECT_EQ(pipe.ok(), unpruned.verdict().ok()) << label;
-  // Fault-free, the pipeline's watermark and blocked set evolve exactly as
-  // the solo router's, so the retirement schedules must coincide.
-  EXPECT_EQ(pipe.retired_roots, solo.SortedRetiredRoots()) << label;
-  std::unordered_set<TxName> retired(pipe.retired_roots.begin(),
-                                     pipe.retired_roots.end());
-  EXPECT_EQ(pipe.graph_fingerprint, unpruned.FingerprintLiveScope(retired))
+  EXPECT_EQ(solo.verdict().ok(), unpruned.verdict().ok()) << label;
+  EXPECT_EQ(solo.verdict().ok(), plain.status.ok()) << label;
+  EXPECT_EQ(solo.graph_fingerprint(),
+            unpruned.FingerprintLiveScope(solo.retired_roots()))
       << label;
-  EXPECT_EQ(pipe.graph_fingerprint, solo.graph_fingerprint()) << label;
-  EXPECT_EQ(pipe.gc.retired_families, solo.gc_stats().retired_families)
+  EXPECT_EQ(solo.gc_stats().retired_families, solo.retired_roots().size())
       << label;
-  return pipe.retired_roots.size();
+  return solo.retired_roots().size();
 }
 
 TEST(GcDifferentialTest, GoldenCorpusEveryPrefix) {
@@ -266,7 +251,8 @@ TEST(GcDifferentialTest, FuzzedWorkloadsAcrossLayers) {
                           std::to_string(seed);
       total_retired += WholeTraceLayers(*run.type, run.sim.trace, mode,
                                         1 + (seed * 3) % 24, label);
-      combos += 3;  // batch + incremental + pipeline per workload x mode
+      // gc_watermark batch, collecting certifier, and its unpruned twin.
+      combos += 3;
     }
   }
   for (uint64_t seed = 1; seed <= 26; ++seed) {

@@ -1,7 +1,8 @@
 // Unit tests for the observability layer (src/obs): instrument semantics,
 // the enabled/disabled gate, exporter formats — and the determinism
 // contract: enabling metrics must not move a verdict, an edge count, or a
-// graph fingerprint anywhere in the stack, faults included.
+// graph fingerprint anywhere in the stack, GC, batching, and faults
+// included.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,8 @@
 #include "sg/fingerprint.h"
 #include "sg/graph.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 #include "sim/driver.h"
+#include "sim/fault_ingest.h"
 
 namespace ntsg {
 namespace {
@@ -38,7 +39,7 @@ class ScopedMetricsEnabled {
   bool was_;
 };
 
-TEST(ObsMetricsTest, CountersGaugesAndShardedCounters) {
+TEST(ObsMetricsTest, CountersAndGauges) {
   ScopedMetricsEnabled on(true);
   obs::MetricsRegistry reg;
   obs::Counter* c = reg.GetCounter("t_total", "test counter");
@@ -53,10 +54,6 @@ TEST(ObsMetricsTest, CountersGaugesAndShardedCounters) {
   g->Add(2);
   g->Sub(3);
   EXPECT_EQ(g->value(), 6);
-
-  obs::ShardedCounter* s = reg.GetShardedCounter("t_sharded_total", "sharded");
-  for (size_t slot = 0; slot < 40; ++slot) s->Inc(slot);
-  EXPECT_EQ(s->value(), 40u);  // aggregated across slots, any hint valid
 }
 
 TEST(ObsMetricsTest, HistogramBucketsAreCumulative) {
@@ -173,15 +170,14 @@ TEST(ObsMetricsTest, RegisterAllCoversEveryLayerFamily) {
   std::string text = obs::MetricsRegistry::Default().PrometheusText();
   for (const char* family :
        {"ntsg_certifier_actions_total", "ntsg_certifier_cycle_rejections_total",
-        "ntsg_certifier_edge_insert_us", "ntsg_sgt_admission_checks_total",
-        "ntsg_ingest_ops_processed_total", "ntsg_ingest_delivery_lag_us",
-        "ntsg_ingest_snapshot_us", "ntsg_ingest_replay_us",
-        "ntsg_ingest_worker_restarts_total", "ntsg_driver_steps_total",
-        "ntsg_fault_crashes_total", "ntsg_fault_items_replayed_total",
+        "ntsg_certifier_edge_insert_us",
+        "ntsg_certifier_conflict_edges_emitted_total",
+        "ntsg_sgt_admission_checks_total", "ntsg_driver_steps_total",
+        "ntsg_fault_crashes_total", "ntsg_fault_actions_replayed_total",
         "ntsg_sg_conflict_edges_emitted_total",
         "ntsg_sg_precedes_edges_emitted_total", "ntsg_sg_frontier_hits_total",
         "ntsg_sg_frontier_misses_total", "ntsg_sg_class_pair_evals_total",
-        "ntsg_sg_parallel_merges_total", "ntsg_lca_level_build_us",
+        "ntsg_lca_level_build_us",
         "ntsg_sg_batch_build_us", "ntsg_batch_commits_total",
         "ntsg_batch_bisects_total", "ntsg_batch_edges_staged_total",
         "ntsg_batch_edges_committed_total", "ntsg_batch_actions_total",
@@ -232,52 +228,61 @@ TEST(ObsMetricsTest, BatchFamiliesRecordBatchedIngest) {
   EXPECT_NE(json.find("\"ntsg_batch_commits_total\""), std::string::npos);
 }
 
-// The determinism contract, end to end: the same seeded workload piped
-// through the concurrent pipeline under the same fault plan must produce
-// identical verdicts, edge counts, and graph fingerprints with metrics off
-// and with metrics on. Instrumentation is write-only; this is the test that
-// keeps it so.
+// The determinism contract, end to end: the same seeded workload streamed
+// through the online certifier — with GC, per-event and batched, and under a
+// crash/snapshot fault plan — must produce identical verdicts, first
+// rejections, edge counts, and graph fingerprints with metrics off and with
+// metrics on. Instrumentation is write-only; this is the test that keeps it
+// so. The enabled runs must also advance the stream's frontier counter by
+// at least the distinct edges it admitted.
 TEST(ObsMetricsTest, MetricsDoNotMoveVerdictOrFingerprint) {
+  const obs::CertifierMetrics& m = obs::GetCertifierMetrics();
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     QuickRunParams params;
-    params.config.backend = Backend::kMoss;
+    params.config.backend =
+        seed % 3 == 0 ? Backend::kDirtyReadMoss : Backend::kMoss;
     params.config.seed = seed;
     params.num_objects = 3;
     params.num_toplevel = 4;
     QuickRunResult run = QuickRun(params);
     ASSERT_TRUE(run.sim.stats.completed);
+    const Trace& beta = run.sim.trace;
+    const FaultPlan plan =
+        FaultPlan::Generate(seed, beta.size(), FaultPlanParams{});
 
-    FaultPlan plan =
-        FaultPlan::Generate(seed, run.sim.trace.size(), 4, FaultPlanParams{});
-    ConcurrentIngestConfig config;
-    config.num_shards = 4;
-    config.seed = seed;
-    config.fault_plan = &plan;
-
-    ConcurrentIngestReport off_report, on_report;
-    {
-      ScopedMetricsEnabled off(false);
-      off_report = ConcurrentIngestPipeline::Run(
-          *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
+    // Mode 0: per-event, 1: batched, 2: under the fault plan; all with GC.
+    for (int mode = 0; mode < 3; ++mode) {
+      auto certify = [&](bool metrics) {
+        ScopedMetricsEnabled scope(metrics);
+        IncrementalCertifier cert(*run.type, ConflictMode::kReadWrite,
+                                  GcOptions{8});
+        if (mode == 0) cert.IngestTrace(beta);
+        if (mode == 1) cert.IngestTraceBatched(beta, 16);
+        if (mode == 2) IngestWithFaults(beta, plan, &cert);
+        return cert;
+      };
+      IncrementalCertifier off = certify(false);
+      const uint64_t emitted0 = m.conflict_edges_emitted->value();
+      const uint64_t admitted0 = m.conflict_edges->value();
+      IncrementalCertifier on = certify(true);
+      EXPECT_GE(m.conflict_edges_emitted->value() - emitted0,
+                m.conflict_edges->value() - admitted0);
+      EXPECT_EQ(off.verdict().appropriate, on.verdict().appropriate) << seed;
+      EXPECT_EQ(off.verdict().acyclic, on.verdict().acyclic) << seed;
+      EXPECT_EQ(off.first_rejection_pos(), on.first_rejection_pos()) << seed;
+      EXPECT_EQ(off.conflict_edge_count(), on.conflict_edge_count());
+      EXPECT_EQ(off.precedes_edge_count(), on.precedes_edge_count());
+      EXPECT_EQ(off.graph_fingerprint(), on.graph_fingerprint())
+          << "metrics moved the graph fingerprint at seed " << seed
+          << " mode " << mode;
     }
-    {
-      ScopedMetricsEnabled on(true);
-      on_report = ConcurrentIngestPipeline::Run(
-          *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    }
-    EXPECT_EQ(off_report.appropriate, on_report.appropriate) << seed;
-    EXPECT_EQ(off_report.acyclic, on_report.acyclic) << seed;
-    EXPECT_EQ(off_report.conflict_edge_count, on_report.conflict_edge_count);
-    EXPECT_EQ(off_report.precedes_edge_count, on_report.precedes_edge_count);
-    EXPECT_EQ(off_report.graph_fingerprint, on_report.graph_fingerprint)
-        << "metrics moved the graph fingerprint at seed " << seed;
   }
 }
 
 // The same contract for the batch fast path: the frontier-based
 // ConflictRelation must return the identical edge vector — and the batch
-// certifier the identical fingerprintable graph — with metrics off, metrics
-// on, and any worker count. The enabled run must also actually advance the
+// certifier the identical fingerprintable graph — with metrics off and
+// metrics on. The enabled run must also actually advance the
 // SG-build counters (edge emission, frontier hit/miss).
 TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
   for (uint64_t seed = 11; seed <= 14; ++seed) {
@@ -290,7 +295,7 @@ TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
     ASSERT_TRUE(run.sim.stats.completed);
     Trace serial = SerialPart(run.sim.trace);
 
-    std::vector<SiblingEdge> off_edges, on_edges, on_parallel_edges;
+    std::vector<SiblingEdge> off_edges, on_edges;
     {
       ScopedMetricsEnabled off(false);
       off_edges = ConflictRelation(*run.type, serial,
@@ -304,9 +309,6 @@ TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
       hits0 = m.frontier_hits->value();
       misses0 = m.frontier_misses->value();
       on_edges = ConflictRelation(*run.type, serial, ConflictMode::kReadWrite);
-      on_parallel_edges = ConflictRelation(*run.type, serial,
-                                           ConflictMode::kReadWrite,
-                                           /*num_threads=*/4);
       // Every final edge was emitted at least once; a first access to an
       // object is always a frontier miss, later conflicting ones are hits.
       EXPECT_GE(m.conflict_edges_emitted->value() - emitted0, on_edges.size());
@@ -320,8 +322,6 @@ TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
     }
     EXPECT_EQ(off_edges, on_edges) << "metrics moved the edge set, seed "
                                    << seed;
-    EXPECT_EQ(on_edges, on_parallel_edges)
-        << "thread count moved the edge set, seed " << seed;
 
     uint64_t off_fp, on_fp;
     {
@@ -334,7 +334,7 @@ TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
     {
       ScopedMetricsEnabled on(true);
       SerializationGraph g = SerializationGraph::Build(
-          *run.type, serial, ConflictMode::kReadWrite, /*num_threads=*/3);
+          *run.type, serial, ConflictMode::kReadWrite);
       on_fp = FingerprintSerializationGraph(g.conflict_edges(),
                                             g.precedes_edges());
     }
@@ -466,34 +466,6 @@ TEST(ObsMetricsTest, JsonAndQuantileTextCarryQuantiles) {
   std::string quant = reg.QuantileText();
   EXPECT_NE(quant.find("t_q_us"), std::string::npos) << quant;
   EXPECT_NE(quant.find("p99"), std::string::npos);
-}
-
-// Enabled instrumentation actually counts: a pipeline run with metrics on
-// must advance the ingest counters by exactly the work the report says was
-// done.
-TEST(ObsMetricsTest, PipelineCountersMatchReport) {
-  ScopedMetricsEnabled on(true);
-  QuickRunParams params;
-  params.config.backend = Backend::kMoss;
-  params.config.seed = 3;
-  params.num_objects = 2;
-  params.num_toplevel = 4;
-  QuickRunResult run = QuickRun(params);
-
-  const obs::IngestMetrics& m = obs::GetIngestMetrics();
-  uint64_t actions0 = m.actions_ingested->value();
-  uint64_t routed0 = m.ops_routed->value();
-  uint64_t processed0 = m.ops_processed->value();
-
-  ConcurrentIngestConfig config;
-  config.num_shards = 2;
-  ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-      *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-
-  EXPECT_EQ(m.actions_ingested->value() - actions0, report.actions_ingested);
-  EXPECT_EQ(m.ops_routed->value() - routed0, report.ops_routed);
-  // Every routed op is eventually processed by a worker (no faults here).
-  EXPECT_EQ(m.ops_processed->value() - processed0, report.ops_routed);
 }
 
 }  // namespace

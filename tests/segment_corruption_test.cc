@@ -188,7 +188,7 @@ TEST_F(SegmentCorruptionTest, ConvertRoundTripsAndVerifies) {
 
 TEST_F(SegmentCorruptionTest, WalSurvivesAndDropsWithGc) {
   std::string wal = dir_ + "/wal";
-  EXPECT_EQ(RunCli("certify " + path_ + " --shards 2 --wal " + wal), 0);
+  EXPECT_EQ(RunCli("certify " + path_ + " --online --wal " + wal), 0);
   // The WAL directory is itself a readable binary store: the system segment
   // plus at least one action segment landed on disk.
   EXPECT_TRUE(fs::exists(wal + "/seg-00000000.ntsgs"));
@@ -197,7 +197,11 @@ TEST_F(SegmentCorruptionTest, WalSurvivesAndDropsWithGc) {
   // run must still certify identically.
   std::string wal_gc = dir_ + "/wal_gc";
   EXPECT_EQ(
-      RunCli("certify " + path_ + " --shards 2 --gc=4 --wal " + wal_gc), 0);
+      RunCli("certify " + path_ + " --online --gc=4 --wal " + wal_gc), 0);
+  // The WAL is written by the online certifier only: without --online, or
+  // with the unknown --shards flag, the request is a usage error.
+  EXPECT_EQ(RunCli("certify " + path_ + " --wal " + dir_ + "/wal_batch"), 2);
+  EXPECT_EQ(RunCli("certify " + path_ + " --shards 2 --wal " + wal), 2);
 }
 
 TEST(SegmentStrictFlagTest, HalfNumericAndOverflowedFlagsExit2) {
@@ -210,7 +214,7 @@ TEST(SegmentStrictFlagTest, HalfNumericAndOverflowedFlagsExit2) {
   EXPECT_EQ(RunCli("run --toplevel ''"), 2);
   EXPECT_EQ(RunCli("run --seed 0x10"), 2);
   EXPECT_EQ(RunCli("run --seed -1"), 2);
-  EXPECT_EQ(RunCli("run --toplevel 2 --shards 2junk"), 2);
+  EXPECT_EQ(RunCli("run --toplevel 2 --shards 2"), 2);  // unknown flag
   EXPECT_EQ(RunCli("run --toplevel 2 --gc=-1"), 2);
   EXPECT_EQ(RunCli("run --toplevel 2 --gc=0"), 2);
   EXPECT_EQ(RunCli("isolate --mine --runs 3abc"), 2);

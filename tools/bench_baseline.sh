@@ -6,7 +6,7 @@
 # fault hooks, T8 metrics, T9 tracing) instrumented — NTSG_BENCH_METRICS_DIR
 # set, so each binary also drops a .prom snapshot — and merges the Google
 # Benchmark JSON outputs into one document keyed by bench name. Phase 2 runs
-# the BM_SgBatch{Naive,Fast,Parallel} rows of bench_sg_construction with
+# the BM_SgBatch{Naive,Fast} rows of bench_sg_construction with
 # repetitions so the document carries median aggregates; that file is what
 # tools/check_bench_regression.py gates the nightly CI job against.
 #

@@ -16,7 +16,12 @@ baseline document and fails when
     rather than comparing them. A debug-built Google Benchmark *library*
     (context.library_build_type) only warns — it biases the harness's
     timer overhead, not the measured code, and is fixed by whatever the
-    system package shipped.
+    system package shipped, or
+  * the baseline was timed on a host with a different CPU count
+    (context.num_cpus) or from a different repo build type than the
+    candidate: such medians measure the host, not a regression, so the
+    gate refuses (exit 2) rather than comparing them. A document without a
+    repo_build_type stamp only warns, as above.
 
 Both documents must carry aggregate rows (bench_baseline.sh runs the
 fast-path benches with repetitions). Medians are compared after normalizing
@@ -74,6 +79,21 @@ def check_build_type(path, doc):
     return None
 
 
+def check_same_setup(baseline_path, baseline_doc, candidate_doc):
+    """Refuses a baseline whose CPU count or repo build type differs from the
+    candidate's. Returns an error string for refusal, None when comparable.
+    """
+    base = baseline_doc.get("context", {})
+    cand = candidate_doc.get("context", {})
+    for key in ("num_cpus", "repo_build_type"):
+        b, c = base.get(key), cand.get(key)
+        if b is not None and c is not None and b != c:
+            return (f"{baseline_path}: context.{key} is {b!r} but the "
+                    f"candidate's is {c!r} — regenerate the baseline on the "
+                    "candidate's host and build type")
+    return None
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -94,6 +114,10 @@ def main():
         if refusal is not None:
             print(f"error: {refusal}", file=sys.stderr)
             return 2
+    refusal = check_same_setup(args.baseline, baseline_doc, candidate_doc)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
+        return 2
 
     baseline = load_medians(baseline_doc)
     candidate = load_medians(candidate_doc)

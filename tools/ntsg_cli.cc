@@ -6,18 +6,19 @@
 //   ntsg certify <trace-file>     certify a saved behavior (Theorem 8/19);
 //                                 --online streams it through the
 //                                 incremental certifier and reports the
-//                                 first rejected action, --shards N runs
-//                                 the concurrent ingest pipeline
+//                                 first rejected action
 //   ntsg sweep [options]          run many seeds, print aggregate stats
 //   ntsg chaos [options]          run a seeded workload under a seeded fault
-//                                 plan (worker crashes, delivery delay /
-//                                 reorder / duplication, controller aborts)
-//                                 and check the faulted verdict and graph
+//                                 plan (controller aborts, SGT spurious
+//                                 rejections), then stream it through an
+//                                 online certifier that crashes and restores
+//                                 from snapshots, and check the verdict, the
+//                                 first rejected action, and the graph
 //                                 fingerprint against the fault-free run
-//   ntsg stats [options]          run one simulation plus the online and
-//                                 concurrent certifiers with metrics
-//                                 enabled, and dump the metric snapshot
-//                                 (stdout, or --metrics-out FILE)
+//   ntsg stats [options]          run one simulation plus the batch and
+//                                 online certifiers with metrics enabled,
+//                                 and dump the metric snapshot (stdout, or
+//                                 --metrics-out FILE)
 //   ntsg explain <trace-file>     certify a saved behavior and, on rejection,
 //                                 print the witness cycle with each edge
 //                                 labeled conflict/precedes and the inducing
@@ -39,14 +40,14 @@
 //                                 --rate actions per virtual second
 //                                 (--arrival poisson | fixed), and drive the
 //                                 chosen certifier (--certifier batch |
-//                                 incremental | sharded | all; "all" demands
-//                                 verdict agreement). Reports admission-
-//                                 latency quantiles (p50/p95/p99/p999);
+//                                 incremental | all; "all" demands verdict
+//                                 agreement). Reports admission-latency
+//                                 quantiles (p50/p95/p99/p999);
 //                                 --timeline-out FILE streams a per-epoch
 //                                 NDJSON timeline (--epochs windows;
 //                                 deterministic core fields only, unless
-//                                 --timeline-wallclock adds quantiles, queue
-//                                 depths, and a metrics snapshot); --sweep
+//                                 --timeline-wallclock adds quantiles and a
+//                                 metrics snapshot); --sweep
 //                                 steps the offered rate until the latency
 //                                 knees and reports saturation throughput
 //   ntsg isolate <trace-file>     check a saved behavior against the whole
@@ -87,10 +88,10 @@
 //   --abort-prob P    spontaneous abort probability per step       [0]
 //   --innermost       fine-grained stall aborts (default: top-level)
 //   --online          certify only: stream through IncrementalCertifier
-//   --gc[=N]          certify only: commit-watermark GC every N actions
-//                     (bare --gc uses N=1024). Applies to the batch path
-//                     (which then streams with bounded memory), --online,
-//                     and --shards; prints families/nodes retired and ops
+//   --gc[=N]          certify / chaos / load: commit-watermark GC every N
+//                     actions (bare --gc uses N=1024). Applies to the batch
+//                     path (which then streams with bounded memory) and
+//                     --online; prints families/nodes retired and ops
 //                     pruned. Metrics land in the ntsg_gc_* families.
 //   --batch[=N]       certify --online / stats / load: epoch-batched
 //                     admission — stage up to N actions' edges and commit
@@ -101,18 +102,17 @@
 //                     rejected batch is replayed per-edge to recover the
 //                     exact first-rejecting action. Batches never span a GC
 //                     barrier. Metrics land in the ntsg_batch_* families.
-//   --shards N        certify/stats: parallelize the batch SG build across N
-//                     workers and also run the concurrent pipeline;
-//                     chaos: pipeline width                    [0 / chaos: 4]
 //   --fault-seed S    chaos only: fault-plan seed                       [1]
 //   --save FILE       run / chaos: save the behavior (format per --format)
 //   --format NAME     text | binary: trace file format for --save and
 //                     convert; readers sniff the format, but an explicit
 //                     --format forces that reader            [text / sniffed]
 //   --codec NAME      raw | rle: per-segment codec for binary writes   [raw]
-//   --wal DIR         certify/chaos with --shards: write-ahead-log every
-//                     routed action into a segment directory (TraceStore)
-//                     and report the recovery replay
+//   --wal DIR         certify --online only: append every action to a
+//                     segment directory (TraceStore) before the certifier
+//                     sees it, drop sealed segments whose families GC has
+//                     retired, seal the tail at the end; a WAL failure
+//                     exits 3
 //   --dot FILE        run only: dump the serialization graph (Graphviz)
 //   --metrics-out F   enable metrics and write a snapshot to F after the
 //                     command (Prometheus text; *.json selects JSON)
@@ -129,25 +129,27 @@
 //   --rate R          offered rate, actions per virtual second     [50000]
 //   --arrival NAME    poisson | fixed inter-arrival times          [poisson]
 //   --epochs N        timeline epochs over the schedule span       [10]
-//   --certifier NAME  batch | incremental | sharded | all          [incremental]
+//   --certifier NAME  batch | incremental | all                    [incremental]
 //   --timeline-out F  stream the per-epoch NDJSON timeline to F
 //                     (with --certifier all: F.<mode> per mode)
-//   --timeline-wallclock  add latency quantiles, queue depth, and a metrics
-//                     snapshot to each timeline record (wall-clock fields —
+//   --timeline-wallclock  add latency quantiles and a metrics snapshot to
+//                     each timeline record (wall-clock fields —
 //                     byte-determinism holds only without them)
 //   --no-pace         admit back-to-back instead of pacing arrivals to the
 //                     wall clock (virtual-time bookkeeping is unchanged)
-//   --batch[=N]       epoch-batched admission in the incremental / sharded
-//                     sinks (see common options above)
+//   --batch[=N]       epoch-batched admission in the incremental sink
+//                     (see common options above)
 //   --sweep           saturation sweep: double the rate until p99 knees
 //   --sweep-steps N   sweep rate steps                             [6]
 //   --knee-us X       sweep p99 knee threshold in microseconds     [5000]
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -168,7 +170,7 @@
 #include "sg/fast_graph.h"
 #include "sg/graph.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
+#include "sim/fault_ingest.h"
 #include "sim/driver.h"
 #include "sim/trace_stats.h"
 #include "tx/segment/segment_reader.h"
@@ -193,7 +195,6 @@ struct CliOptions {
   std::string trace_file;  // audit / certify / convert-input operand.
   std::string out_file;    // convert output operand.
   bool online = false;
-  size_t shards = 0;
   size_t gc_interval = 0;
   size_t batch = 0;  // --batch[=N]: epoch-batched admission (0/1 = per-event)
   Backend backend = Backend::kMoss;
@@ -223,7 +224,7 @@ struct CliOptions {
   TraceFormat format = TraceFormat::kText;
   bool format_set = false;  // explicit --format (forces reader + writer)
   seg::Codec codec = seg::Codec::kRaw;
-  std::string wal_dir;      // certify/chaos --shards: segment WAL directory
+  std::string wal_dir;      // certify --online: segment WAL directory
 
   // load command.
   load::Workload workload = load::Workload::kBank;
@@ -246,7 +247,7 @@ struct CliOptions {
 // the names (not a pointer to the type, which is command-local).
 obs::TraceNameFn g_trace_names;
 
-// Set by chaos when the fault plan actually crashed a worker; with
+// Set by chaos when the fault plan actually crashed the certifier; with
 // --flight-recorder the dump then fires even though the run matched.
 bool g_injected_crash = false;
 
@@ -464,9 +465,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
         std::cerr << "--batch requires a positive size\n";
         return false;
       }
-    } else if (a == "--shards") {
-      if (!(v = need(a.c_str()))) return false;
-      if (!ParseCountFlag("--shards", v, &opt->shards)) return false;
     } else if (a == "--save") {
       if (!(v = need(a.c_str()))) return false;
       opt->save_file = v;
@@ -585,8 +583,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
       if (name == "all") {
         opt->cert_all = true;
       } else if (!load::ParseCertMode(name, &opt->cert_mode)) {
-        std::cerr << "--certifier must be batch, incremental, sharded, or "
-                     "all\n";
+        std::cerr << "--certifier must be batch, incremental, or all\n";
         return false;
       }
     } else if (a == "--sweep") {
@@ -625,6 +622,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
       std::cerr << "unknown option " << a << "\n";
       return false;
     }
+  }
+  if (!opt->wal_dir.empty() && !(opt->command == "certify" && opt->online)) {
+    std::cerr << "--wal requires certify --online\n";
+    return false;
   }
   return opt->command == "run" || opt->command == "audit" ||
          opt->command == "certify" || opt->command == "sweep" ||
@@ -784,8 +785,7 @@ int CmdCertify(const CliOptions& opt) {
             << " events)\n";
 
   CertifierReport batch = CertifySeriallyCorrect(
-      type, beta, mode,
-      CertifyOptions{opt.shards > 0 ? opt.shards : 1, opt.gc_interval});
+      type, beta, mode, CertifyOptions{opt.gc_interval});
   std::cout << "batch:       " << batch.status.ToString() << "\n";
 
   bool agree = true;
@@ -793,10 +793,38 @@ int CmdCertify(const CliOptions& opt) {
     GcOptions gc;
     gc.interval = opt.gc_interval;
     IncrementalCertifier cert(type, mode, gc);
-    if (opt.batch > 1) {
-      cert.IngestTraceBatched(beta, opt.batch);
-    } else {
-      cert.IngestTrace(beta);
+    // The write-ahead log holds every action before the certifier sees it.
+    // The first append/seal/drop failure latches wal_status and stops
+    // further writes; the verdict never waits on the disk.
+    std::unique_ptr<seg::TraceStore> wal;
+    Status wal_status;
+    uint64_t wal_appended = 0;
+    size_t wal_dropped = 0;
+    if (!opt.wal_dir.empty()) {
+      wal_status = seg::TraceStore::Create(opt.wal_dir, &type, {}, {}, &wal);
+    }
+    const size_t step = opt.batch > 1 ? opt.batch : 1;
+    for (size_t i = 0; i < beta.size(); i += step) {
+      const size_t n = std::min(step, beta.size() - i);
+      for (size_t j = i; wal != nullptr && wal_status.ok() && j < i + n; ++j) {
+        wal_status = wal->Append(beta[j]);
+        if (wal_status.ok()) ++wal_appended;
+      }
+      const uint64_t gc_runs = cert.gc_stats().runs;
+      if (opt.batch > 1) {
+        cert.IngestBatch(std::span<const Action>(beta.data() + i, n));
+      } else {
+        cert.Ingest(beta[i]);
+      }
+      // A retirement pass can make whole sealed segments droppable: every
+      // one of their actions belongs to a retired family.
+      if (wal != nullptr && wal_status.ok() && cert.gc_stats().runs > gc_runs) {
+        size_t dropped = 0;
+        wal_status = wal->DropRetiredSegments(
+            [&cert](TxName root) { return cert.retired_roots().count(root); },
+            &dropped);
+        wal_dropped += dropped;
+      }
     }
     IncrementalVerdict v = cert.verdict();
     std::cout << "incremental: "
@@ -828,33 +856,16 @@ int CmdCertify(const CliOptions& opt) {
       }
       std::cout << "\n";
     }
-    agree = agree && v.ok() == batch.status.ok();
-  }
-  if (opt.shards > 0) {
-    ConcurrentIngestConfig config;
-    config.num_shards = opt.shards;
-    config.seed = opt.seed;
-    config.gc_interval = opt.gc_interval;
-    config.batch_max = opt.batch;
-    config.wal_dir = opt.wal_dir;
-    ConcurrentIngestReport report =
-        ConcurrentIngestPipeline::Run(type, beta, mode, config);
-    std::cout << "concurrent:  " << (report.ok() ? "ok" : "REJECTED") << " ("
-              << opt.shards << " shards, " << report.ops_routed
-              << " ops routed)\n";
-    if (opt.gc_interval > 0) {
-      std::cout << "gc:          " << report.gc.retired_families
-                << " families retired, " << report.gc.pruned_ops
-                << " ops pruned in " << report.gc.runs << " passes\n";
-    }
     if (!opt.wal_dir.empty()) {
-      std::cout << "wal:         " << report.wal_appended
-                << " actions logged, " << report.wal_segments_sealed
-                << " segments sealed, " << report.wal_segments_dropped
-                << " dropped by gc (" << report.wal_status.ToString() << ")\n";
-      agree = agree && report.wal_status.ok();
+      // Seal the tail so the directory ends at a durable boundary.
+      if (wal != nullptr && wal_status.ok()) wal_status = wal->SealActive();
+      std::cout << "wal:         " << wal_appended << " actions logged, "
+                << (wal != nullptr ? wal->num_sealed_segments() : 0)
+                << " segments sealed, " << wal_dropped << " dropped by gc ("
+                << wal_status.ToString() << ")\n";
+      agree = agree && wal_status.ok();
     }
-    agree = agree && report.ok() == batch.status.ok();
+    agree = agree && v.ok() == batch.status.ok();
   }
   if (!agree) {
     std::cout << "DISAGREEMENT between certifiers\n";
@@ -863,28 +874,22 @@ int CmdCertify(const CliOptions& opt) {
   return batch.status.ok() ? kExitOk : kExitCertificationFailed;
 }
 
-// Runs the workload twice over the same seed — once fault-free, once under a
-// seeded fault plan both in the driver (controller aborts, spurious
-// rejections) and in the ingest pipeline (crashes, delivery faults) — and
-// demands the certifier's verdict and graph fingerprint be identical for the
-// pipeline layer, and the driver layer's behavior still certify.
+// Runs the workload under a seeded driver fault plan (controller aborts, plus
+// spurious admission rejections on the SGT backend) and reports whether the
+// faulted behavior still certifies. Then streams that behavior through an
+// online certifier twice — fault-free, and under a seeded plan of certifier
+// crashes and snapshots (sim/fault_ingest.h) — and demands the verdict, the
+// first rejected action, and the graph fingerprint be identical.
 int CmdChaos(const CliOptions& opt) {
-  size_t shards = opt.shards > 0 ? opt.shards : 4;
-
-  // Driver-layer plan: deterministic controller aborts (plus spurious
-  // admission rejections when the SGT backend is active).
+  // Driver-layer plan. Early horizon so the scheduled aborts land while work
+  // is still live.
   FaultPlanParams driver_params;
   driver_params.crashes = 0;
-  driver_params.restart_fails = 0;
-  driver_params.delays = 0;
-  driver_params.duplicates = 0;
-  driver_params.reorders = 0;
   driver_params.snapshots = 0;
   driver_params.injected_aborts = 3;
   driver_params.spurious_rejects = opt.backend == Backend::kSgt ? 3 : 0;
-  // Early horizon so the scheduled aborts land while work is still live.
   FaultPlan driver_plan =
-      FaultPlan::Generate(opt.fault_seed, /*horizon=*/1'000, 1, driver_params);
+      FaultPlan::Generate(opt.fault_seed, /*horizon=*/1'000, driver_params);
 
   RunOutput out = RunOnce(opt, opt.seed, &driver_plan);
   SetTraceNames(*out.type);
@@ -907,45 +912,38 @@ int CmdChaos(const CliOptions& opt) {
     std::cout << "save: " << save_st.ToString() << "\n";
   }
 
-  // Pipeline-layer plan: crashes, restart failures, delivery delay /
-  // reorder / duplication, snapshots — over the trace as delivered.
-  FaultPlan pipe_plan = FaultPlan::Generate(
-      opt.fault_seed, out.sim.trace.size(), shards, FaultPlanParams{});
-  if (!opt.quiet) std::cout << "fault plan:\n" << pipe_plan.ToString();
+  // Certifier-layer plan: crashes and snapshots over the trace positions.
+  FaultPlan cert_plan = FaultPlan::Generate(
+      opt.fault_seed, out.sim.trace.size(), FaultPlanParams{});
+  if (!opt.quiet) std::cout << "fault plan:\n" << cert_plan.ToString();
 
-  ConcurrentIngestConfig base_config;
-  base_config.num_shards = shards;
-  base_config.seed = opt.seed;
-  ConcurrentIngestReport clean =
-      ConcurrentIngestPipeline::Run(*out.type, out.sim.trace, mode,
-                                    base_config);
+  const GcOptions gc{opt.gc_interval};
+  IncrementalCertifier clean(*out.type, mode, gc);
+  clean.IngestTrace(out.sim.trace);
+  IncrementalCertifier chaotic(*out.type, mode, gc);
+  FaultStats faults = IngestWithFaults(out.sim.trace, cert_plan, &chaotic);
 
-  ConcurrentIngestConfig chaos_config = base_config;
-  chaos_config.fault_plan = &pipe_plan;
-  // The WAL rides the *chaotic* run: appends happen router-side, so worker
-  // crashes and delivery faults must not cost logged actions.
-  chaos_config.wal_dir = opt.wal_dir;
-  ConcurrentIngestReport chaotic = ConcurrentIngestPipeline::Run(
-      *out.type, out.sim.trace, mode, chaos_config);
+  if (faults.crashes > 0) g_injected_crash = true;
+  std::cout << "fault log: " << faults.ToString() << "\n";
+  auto report = [](const char* label, const IncrementalCertifier& c) {
+    std::cout << label << (c.verdict().ok() ? "ok" : "REJECTED")
+              << " fingerprint=" << std::hex << c.graph_fingerprint()
+              << std::dec;
+    if (c.first_rejection_pos().has_value()) {
+      std::cout << " first_rejected=" << *c.first_rejection_pos();
+    }
+    std::cout << "\n";
+  };
+  report("clean:   ", clean);
+  report("chaotic: ", chaotic);
 
-  if (chaotic.faults.crashes > 0) g_injected_crash = true;
-  std::cout << "fault log: " << chaotic.faults.ToString() << "\n";
-  if (!opt.wal_dir.empty()) {
-    std::cout << "wal: " << chaotic.wal_appended << " actions logged, "
-              << chaotic.wal_segments_sealed << " segments sealed ("
-              << chaotic.wal_status.ToString() << ")\n";
-    if (!chaotic.wal_status.ok()) return kExitMismatch;
-  }
-  std::cout << "clean:   " << (clean.ok() ? "ok" : "REJECTED")
-            << " fingerprint=" << std::hex << clean.graph_fingerprint
-            << std::dec << "\nchaotic: " << (chaotic.ok() ? "ok" : "REJECTED")
-            << " fingerprint=" << std::hex << chaotic.graph_fingerprint
-            << std::dec << "\n";
-
-  bool match = clean.ok() == chaotic.ok() &&
-               clean.graph_fingerprint == chaotic.graph_fingerprint &&
-               clean.conflict_edge_count == chaotic.conflict_edge_count &&
-               clean.precedes_edge_count == chaotic.precedes_edge_count;
+  bool match =
+      clean.verdict().appropriate == chaotic.verdict().appropriate &&
+      clean.verdict().acyclic == chaotic.verdict().acyclic &&
+      clean.first_rejection_pos() == chaotic.first_rejection_pos() &&
+      clean.graph_fingerprint() == chaotic.graph_fingerprint() &&
+      clean.conflict_edge_count() == chaotic.conflict_edge_count() &&
+      clean.precedes_edge_count() == chaotic.precedes_edge_count();
   std::cout << (match ? "MATCH: faults did not move the verdict or the graph"
                       : "MISMATCH between clean and chaotic runs")
             << "\n";
@@ -983,35 +981,26 @@ int CmdSweep(const CliOptions& opt) {
              : kExitCertificationFailed;
 }
 
-// Runs one simulated workload through every certification layer (batch,
-// online, concurrent) with metrics enabled, then dumps the snapshot —
-// stdout by default, --metrics-out FILE otherwise. Exists so a scrape of
-// every metric family is one command away.
+// Runs one simulated workload through both certifiers (batch, online) with
+// metrics enabled, then dumps the snapshot — stdout by default,
+// --metrics-out FILE otherwise. Exists so a scrape of every metric family
+// is one command away.
 int CmdStats(const CliOptions& opt) {
   RunOutput out = RunOnce(opt, opt.seed);
   ConflictMode mode = ModeFor(*out.type);
 
-  CertifierReport batch =
-      CertifySeriallyCorrect(*out.type, out.sim.trace, mode,
-                             CertifyOptions{opt.shards > 0 ? opt.shards : 1});
+  CertifierReport batch = CertifySeriallyCorrect(*out.type, out.sim.trace, mode);
   IncrementalCertifier cert(*out.type, mode);
-  if (opt.batch > 1) {
-    cert.IngestTraceBatched(out.sim.trace, opt.batch);
-  } else {
-    cert.IngestTrace(out.sim.trace);
-  }
-  ConcurrentIngestConfig config;
-  config.num_shards = opt.shards > 0 ? opt.shards : 4;
-  config.seed = opt.seed;
-  config.batch_max = opt.batch;
-  ConcurrentIngestReport pipe =
-      ConcurrentIngestPipeline::Run(*out.type, out.sim.trace, mode, config);
+  cert.IngestTraceBatched(out.sim.trace, opt.batch);
 
+  const obs::CertifierMetrics& cm = obs::GetCertifierMetrics();
   std::cout << "backend=" << BackendName(opt.backend) << " seed=" << opt.seed
             << " events=" << out.sim.trace.size()
             << " batch=" << (batch.status.ok() ? "ok" : "rejected")
             << " online=" << (cert.verdict().ok() ? "ok" : "rejected")
-            << " concurrent=" << (pipe.ok() ? "ok" : "rejected") << "\n";
+            << "\nonline conflict edges: " << cm.conflict_edges_emitted->value()
+            << " emitted by object frontiers, " << cm.conflict_edges->value()
+            << " distinct after dedup\n";
 
   if (opt.metrics_out.empty()) {
     std::cout << obs::MetricsRegistry::Default().QuantileText()
@@ -1031,8 +1020,8 @@ int CmdStats(const CliOptions& opt) {
 // actions at the offered rate, and drives the chosen certifier mode(s),
 // reporting admission-latency quantiles, the per-epoch timeline, and (with
 // --sweep) the saturation throughput. With --certifier all, every generated
-// workload must certify with the same verdict across batch / incremental /
-// sharded — disagreement exits 3 like certify's cross-checks.
+// workload must certify with the same verdict under batch and incremental —
+// disagreement exits 3 like certify's cross-checks.
 int CmdLoad(const CliOptions& opt) {
   if (opt.objects < 2) {
     std::cerr << "load requires --objects >= 2 (the workload scale)\n";
@@ -1052,8 +1041,7 @@ int CmdLoad(const CliOptions& opt) {
 
   std::vector<load::CertMode> modes;
   if (opt.cert_all) {
-    modes = {load::CertMode::kBatch, load::CertMode::kIncremental,
-             load::CertMode::kSharded};
+    modes = {load::CertMode::kBatch, load::CertMode::kIncremental};
   } else {
     modes = {opt.cert_mode};
   }
@@ -1065,7 +1053,6 @@ int CmdLoad(const CliOptions& opt) {
     lo.arrival_seed = opt.seed;  // one schedule shared by every mode
     lo.epochs = opt.epochs;
     lo.mode = mode;
-    lo.shards = opt.shards > 0 ? opt.shards : 4;
     lo.gc_interval = opt.gc_interval;
     lo.batch = opt.batch;
     lo.pace = !opt.no_pace;
@@ -1208,7 +1195,6 @@ int CmdIsolate(const CliOptions& opt) {
     MinerOptions mopt;
     mopt.seed = opt.seed;
     mopt.runs = opt.runs;
-    mopt.num_threads = opt.shards > 0 ? opt.shards : 1;
     MinerReport report = MineAnomalies(mopt);
     std::cout << "mined " << report.runs << " runs: " << report.hits.size()
               << " hit(s), " << report.gap_hits()
@@ -1264,8 +1250,7 @@ int CmdIsolate(const CliOptions& opt) {
   SetTraceNames(type);
   std::cout << "loaded " << opt.trace_file << " (" << beta.size()
             << " events)\n";
-  IsoCheckOptions check;
-  check.num_threads = opt.shards > 0 ? opt.shards : 1;
+  const IsoCheckOptions check;
   IsoVerdictVector vv = CheckIsolationLevels(type, beta, mode, check);
   std::cout << vv.ToString(type);
   if (opt.online) {
@@ -1391,7 +1376,7 @@ int main(int argc, char** argv) {
   if (!opt.metrics_out.empty() || opt.command == "stats") {
     // Enable before any work so every instrument in the command records,
     // and register eagerly so the snapshot covers every family (certifier,
-    // ingest, fault recovery) even when a layer saw no traffic.
+    // GC, fault recovery) even when a layer saw no traffic.
     ntsg::obs::SetMetricsEnabled(true);
     ntsg::obs::RegisterAllMetricFamilies();
   }
