@@ -13,7 +13,7 @@ namespace ntsg {
 
 namespace {
 
-/// Shared context for the recursive construction.
+/// Shared context for the witness construction.
 class WitnessBuilder {
  public:
   WitnessBuilder(const SystemType& type, const Trace& beta,
@@ -34,78 +34,50 @@ class WitnessBuilder {
     }
   }
 
-  /// Emits the whole witness into `out`; T0's events drive the top level.
+  /// Emits the whole witness into `out`. Each level replays β|t's local
+  /// events in order, splicing in the full serial run (CREATE .. COMMIT) of
+  /// each committed child before the report that needs it. A child's level
+  /// runs on an explicit stack of frames rather than by recursion, so the
+  /// nesting depth is bounded by memory, not by the call stack.
   Status Build(Trace& out) {
-    return EmitLevel(kT0, out);
-  }
-
- private:
-  /// Sorting key of child `c` under parent `p`: children named in `orders`
-  /// first (by position), the rest after, by name.
-  std::pair<size_t, TxName> Key(TxName p, TxName c) const {
-    auto it = position_.find({p, c});
-    if (it != position_.end()) return {it->second, c};
-    return {SIZE_MAX, c};
-  }
-
-  bool Less(TxName p, TxName a, TxName b) const {
-    return Key(p, a) < Key(p, b);
-  }
-
-  const Trace& ProjectionOf(TxName t) const {
-    static const Trace empty;
-    auto it = projection_.find(t);
-    return it == projection_.end() ? empty : it->second;
-  }
-
-  /// Runs child `c` of `p`: the full serial execution CREATE .. COMMIT.
-  Status RunChild(TxName c, Trace& out) {
-    if (type_.IsAccess(c)) {
-      auto it = access_value_.find(c);
-      if (it == access_value_.end()) {
-        return Status::VerificationFailed(
-            "committed access without response: " + type_.NameOf(c));
+    std::vector<Frame> stack = {Frame{kT0}};
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const Trace& events = ProjectionOf(f.t);
+      if (f.next == events.size()) {
+        // Committed-but-unreported children (possible only at T0's level)
+        // stay unrun unless a reported sibling pulled them in; that is
+        // sound — γ is just one serial behavior agreeing with β at T0.
+        TxName done = f.t;
+        stack.pop_back();
+        if (done != kT0) out.push_back(Action::Commit(done));
+        continue;
       }
-      out.push_back(Action::Create(c));
-      out.push_back(Action::RequestCommit(c, it->second));
-      out.push_back(Action::Commit(c));
-      return Status::Ok();
-    }
-    out.push_back(Action::Create(c));
-    NTSG_RETURN_IF_ERROR(EmitLevel(c, out));
-    out.push_back(Action::Commit(c));
-    return Status::Ok();
-  }
-
-  /// Replays β|t's local events in order, splicing in child runs before the
-  /// reports that need them. For t == T0, CREATE/REQUEST_COMMIT framing is
-  /// absent; for other t the caller emits CREATE/COMMIT around this.
-  Status EmitLevel(TxName t, Trace& out) {
-    // Committed children requested but not yet run, kept sorted by order.
-    auto cmp = [this, t](TxName a, TxName b) { return Less(t, a, b); };
-    std::set<TxName, decltype(cmp)> pending(cmp);
-    std::set<TxName> ran;
-
-    for (const Action& a : ProjectionOf(t)) {
+      const Action& a = events[f.next];
       switch (a.kind) {
         case ActionKind::kCreate:
-          break;  // CREATE(t) is emitted by the caller (RunChild).
+          break;  // CREATE(t) is emitted when the parent runs t.
         case ActionKind::kRequestCreate:
           out.push_back(a);
-          if (index_.IsCommitted(a.tx)) pending.insert(a.tx);
+          if (index_.IsCommitted(a.tx)) f.pending.insert(Key(f.t, a.tx));
           break;
         case ActionKind::kReportCommit: {
-          // Run every accumulated sibling ordered at or before a.tx.
-          while (!pending.empty() &&
-                 (!Less(t, a.tx, *pending.begin()) ||
-                  *pending.begin() == a.tx)) {
-            TxName v = *pending.begin();
-            pending.erase(pending.begin());
-            NTSG_RETURN_IF_ERROR(RunChild(v, out));
-            ran.insert(v);
-            if (v == a.tx) break;
+          // Run every accumulated sibling ordered at or before a.tx, one per
+          // visit: a non-access child pushes its frame, and this report is
+          // revisited once the child's COMMIT is out.
+          if (!f.pending.empty() && *f.pending.begin() <= Key(f.t, a.tx)) {
+            TxName v = f.pending.begin()->second;
+            f.pending.erase(f.pending.begin());
+            f.ran.insert(v);
+            if (type_.IsAccess(v)) {
+              NTSG_RETURN_IF_ERROR(RunAccess(v, out));
+            } else {
+              out.push_back(Action::Create(v));
+              stack.push_back(Frame{v});  // invalidates f
+            }
+            continue;
           }
-          if (!ran.count(a.tx)) {
+          if (!f.ran.count(a.tx)) {
             return Status::VerificationFailed(
                 "witness: report for " + type_.NameOf(a.tx) +
                 " before its run could be placed");
@@ -124,10 +96,45 @@ class WitnessBuilder {
           return Status::Corruption("unexpected event in beta|T: " +
                                     a.ToString(type_));
       }
+      ++f.next;
     }
-    // Committed-but-unreported children (possible only at T0's level) stay
-    // unrun unless a reported sibling pulled them in; that is sound — γ is
-    // just one serial behavior agreeing with β at T0.
+    return Status::Ok();
+  }
+
+ private:
+  /// Sorting key of child `c` under parent `p`: children named in `orders`
+  /// first (by position), the rest after, by name.
+  std::pair<size_t, TxName> Key(TxName p, TxName c) const {
+    auto it = position_.find({p, c});
+    if (it != position_.end()) return {it->second, c};
+    return {SIZE_MAX, c};
+  }
+
+  /// One level in progress: β|t replayed up to event `next`.
+  struct Frame {
+    TxName t;
+    size_t next = 0;
+    // Committed children requested but not yet run, by Key(t, child).
+    std::set<std::pair<size_t, TxName>> pending;
+    std::set<TxName> ran;
+  };
+
+  const Trace& ProjectionOf(TxName t) const {
+    static const Trace empty;
+    auto it = projection_.find(t);
+    return it == projection_.end() ? empty : it->second;
+  }
+
+  /// Runs access `c`: its full serial execution CREATE .. COMMIT.
+  Status RunAccess(TxName c, Trace& out) {
+    auto it = access_value_.find(c);
+    if (it == access_value_.end()) {
+      return Status::VerificationFailed(
+          "committed access without response: " + type_.NameOf(c));
+    }
+    out.push_back(Action::Create(c));
+    out.push_back(Action::RequestCommit(c, it->second));
+    out.push_back(Action::Commit(c));
     return Status::Ok();
   }
 

@@ -42,7 +42,9 @@ Status ValidateSerialBehavior(const SystemType& type, const Trace& gamma,
     specs.push_back(MakeSpec(type.object_type(x), type.object_initial(x)));
   }
 
-  std::set<TxName> mentioned;  // Non-access transactions with events.
+  // β|T of every non-access transaction T with events, gathered in the same
+  // pass (one ProjectTransaction scan per T would be O(names × |γ|)).
+  std::map<TxName, Trace> projections;
 
   for (size_t i = 0; i < gamma.size(); ++i) {
     const Action& a = gamma[i];
@@ -54,7 +56,7 @@ Status ValidateSerialBehavior(const SystemType& type, const Trace& gamma,
     if (!a.IsSerial()) return fail("INFORM actions are not serial actions");
 
     TxName tr = TransactionOf(type, a);
-    if (tr != kInvalidTx && !type.IsAccess(tr)) mentioned.insert(tr);
+    if (tr != kInvalidTx && !type.IsAccess(tr)) projections[tr].push_back(a);
 
     switch (a.kind) {
       case ActionKind::kRequestCreate:
@@ -137,9 +139,8 @@ Status ValidateSerialBehavior(const SystemType& type, const Trace& gamma,
   }
 
   // Per-transaction well-formedness, plus the caller's transaction oracle.
-  mentioned.insert(kT0);
-  for (TxName t : mentioned) {
-    Trace proj = ProjectTransaction(type, gamma, t);
+  projections.try_emplace(kT0);
+  for (const auto& [t, proj] : projections) {
     Status s = CheckTransactionWellFormed(type, proj, t);
     if (!s.ok()) {
       return Status::VerificationFailed("projection of " + type.NameOf(t) +

@@ -25,6 +25,7 @@ constexpr uint64_t kScopeTagBit = 1ull << 63;
 TxName VisibilityTracker::BlockerOf(TxName subject, bool* dead) const {
   *dead = false;
   for (TxName u = subject; u != kT0; u = type_->parent(u)) {
+    ++ancestor_steps_;
     uint8_t f = Flags(u);
     if ((f & kAbortedBit) != 0) {
       *dead = true;
@@ -42,11 +43,16 @@ void VisibilityTracker::SetBit(TxName t, uint8_t bit) {
   if (page.flags.empty()) page.flags.assign(kPageSize, 0);
   uint8_t& f = page.flags[t & (kPageSize - 1)];
   if (f == 0) ++page.live;
+  if (bit == kAbortedBit && (f & kAbortedBit) == 0) {
+    ++aborted_per_family_[GcFamilyBook::RootOf(*type_, t)];
+  }
   f |= bit;
 }
 
 bool VisibilityTracker::NeverVisible(TxName t) const {
+  if (!FamilyHasAbort(GcFamilyBook::RootOf(*type_, t))) return false;
   for (TxName u = t; u != kT0; u = type_->parent(u)) {
+    ++ancestor_steps_;
     if ((Flags(u) & kAbortedBit) != 0) return true;
   }
   return false;
@@ -59,6 +65,10 @@ void VisibilityTracker::Retire(TxName t) {
   Page& page = pages_[p];
   uint8_t& f = page.flags[t & (kPageSize - 1)];
   if (f == 0) return;
+  if ((f & kAbortedBit) != 0) {
+    auto it = aborted_per_family_.find(GcFamilyBook::RootOf(*type_, t));
+    if (--it->second == 0) aborted_per_family_.erase(it);
+  }
   f = 0;
   if (--page.live == 0) page.flags = {};  // Free the whole page.
 }
@@ -69,7 +79,7 @@ VisibilityTracker::WatchResult VisibilityTracker::Watch(TxName subject,
   TxName blocker = BlockerOf(subject, &dead);
   if (dead) return WatchResult::kDead;
   if (blocker == kInvalidTx) return WatchResult::kVisible;
-  waiters_[blocker].push_back(Item{subject, tag});
+  waiters_[blocker].items.push_back(Parked{Item{subject, tag}});
   return WatchResult::kParked;
 }
 
@@ -78,32 +88,57 @@ void VisibilityTracker::OnCommit(TxName t, std::vector<Item>* fired,
   SetBit(t, kCommittedBit);
   auto it = waiters_.find(t);
   if (it == waiters_.end()) return;
-  std::vector<Item> parked = std::move(it->second);
+  Waiters parked = std::move(it->second);
   waiters_.erase(it);
-  for (Item& item : parked) {
-    bool dead = false;
-    TxName blocker = BlockerOf(item.subject, &dead);
-    if (dead) {
-      if (dropped != nullptr) dropped->push_back(item);
-      continue;
-    }
-    if (blocker == kInvalidTx) {
-      fired->push_back(item);
+  // Every item here has its whole chain below t committed, so the walk from
+  // t decides all of them at once.
+  bool dead = false;
+  TxName next = BlockerOf(t, &dead);
+  Waiters* target = dead || next == kInvalidTx ? nullptr : &waiters_[next];
+  if (target != nullptr && parked.doomed == 0) {
+    target->items.splice(target->items.end(), parked.items);
+    return;
+  }
+  for (const Parked& p : parked.items) {
+    if (dead || p.doomed) {
+      if (dropped != nullptr) dropped->push_back(p.item);
+    } else if (target == nullptr) {
+      fired->push_back(p.item);
     } else {
-      waiters_[blocker].push_back(item);
+      target->items.push_back(p);
     }
   }
 }
 
 void VisibilityTracker::OnAbort(TxName t, std::vector<Item>* dropped) {
+  if (IsCommitted(t)) DoomItemsBelow(t);
   SetBit(t, kAbortedBit);
   // Items parked on t waited for COMMIT(t), which can no longer happen.
   auto it = waiters_.find(t);
   if (it == waiters_.end()) return;
   if (dropped != nullptr) {
-    dropped->insert(dropped->end(), it->second.begin(), it->second.end());
+    for (const Parked& p : it->second.items) dropped->push_back(p.item);
   }
   waiters_.erase(it);
+}
+
+void VisibilityTracker::DoomItemsBelow(TxName u) {
+  // An item whose chain passes through u and whose blocker lies above u has
+  // every name from its subject up to the blocker committed, so that blocker
+  // is u's lowest uncommitted proper ancestor: all such items share one list.
+  TxName blocker = type_->parent(u);
+  while (blocker != kT0 && IsCommitted(blocker)) {
+    blocker = type_->parent(blocker);
+  }
+  auto it = waiters_.find(blocker);
+  if (it == waiters_.end()) return;
+  Waiters& list = it->second;
+  for (Parked& p : list.items) {
+    if (!p.doomed && type_->IsAncestor(u, p.item.subject)) {
+      p.doomed = true;
+      ++list.doomed;
+    }
+  }
 }
 
 // --- ObjectIngestState ------------------------------------------------------
@@ -715,8 +750,10 @@ void IncrementalCertifier::RunGc() {
   }
   for (const auto& [parent, scope] : scopes_) {
     if (parent == kT0 || scope.visible) continue;
-    if (tracker_.NeverVisible(parent)) continue;
-    blocked.insert(GcFamilyBook::RootOf(*type_, parent));
+    // An already blocked family needs no walk: inserting it again is a no-op.
+    TxName root = GcFamilyBook::RootOf(*type_, parent);
+    if (blocked.count(root) != 0 || tracker_.NeverVisible(parent)) continue;
+    blocked.insert(root);
   }
 
   gc_stats_.last_watermark = watermark;

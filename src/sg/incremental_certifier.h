@@ -2,6 +2,7 @@
 #define NTSG_SG_INCREMENTAL_CERTIFIER_H_
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -25,9 +26,15 @@ namespace ntsg {
 /// committed. Visibility is monotone over trace prefixes: once a subject is
 /// visible it stays visible, so each watched item fires at most once.
 ///
-/// A watched subject waits on its *lowest uncommitted ancestor*; each COMMIT
-/// re-resolves exactly the items parked on the committing name, so the
-/// amortized cost per item is O(depth) pointer walks per ancestor commit.
+/// A watched subject waits on its *lowest uncommitted ancestor*. Every item
+/// parked on t has all of its ancestors below t committed, so COMMIT(t)
+/// resolves the whole list with one walk from t to its lowest uncommitted
+/// ancestor and then fires, drops or splices the list in parked order: the
+/// cost is O(depth) per COMMIT plus O(1) per fired or dropped item, not
+/// O(depth) per parked item. The one exception is ill-formed: ABORT of an
+/// already committed name u dooms the parked items whose chain passes
+/// through u below their blocker; they drop when that blocker resolves,
+/// exactly as a per-item walk would.
 ///
 /// Watched items are plain data (subject + caller tag), not callbacks, so
 /// the tracker has value semantics: copying it is the snapshot of the
@@ -68,7 +75,14 @@ class VisibilityTracker {
   /// True iff `t` can never become visible: some ancestor strictly below T0
   /// (t included) has aborted. Items watching such a subject will never
   /// fire, so the GC neither waits for them nor counts their positions.
+  /// Answered from a per-family abort count, without a walk, when no live
+  /// name of t's top-level family has aborted; O(depth) otherwise.
   bool NeverVisible(TxName t) const;
+
+  /// Parent-pointer steps taken by BlockerOf and NeverVisible so far: a
+  /// deterministic work counter for the shape-scaling tests. Copied with
+  /// the tracker; always on.
+  uint64_t ancestor_steps() const { return ancestor_steps_; }
 
   /// Releases all state for `t`: its commit/abort flags and any items
   /// parked on it (the GC calls this per retired name after proving no
@@ -81,8 +95,8 @@ class VisibilityTracker {
   /// within one blocker). The GC's watermark computation input.
   template <typename Fn>
   void ForEachParked(Fn&& fn) const {
-    for (const auto& [blocker, items] : waiters_) {
-      for (const Item& item : items) fn(item);
+    for (const auto& [blocker, list] : waiters_) {
+      for (const Parked& p : list.items) fn(p.item);
     }
   }
 
@@ -100,9 +114,35 @@ class VisibilityTracker {
     uint32_t live = 0;           // names on this page with nonzero flags
   };
 
+  /// `doomed`: an ancestor strictly below the blocker was aborted after it
+  /// committed (ill-formed), so the item drops when its blocker resolves.
+  struct Parked {
+    Item item;
+    bool doomed = false;
+  };
+  /// Items parked on one blocker, in parked order. A list so that COMMIT
+  /// can splice a whole list onto the next blocker in O(1).
+  struct Waiters {
+    std::list<Parked> items;
+    size_t doomed = 0;
+  };
+
+  /// True iff some live name of the family rooted at `root` (a child of
+  /// T0) has aborted; otherwise nothing in the family is NeverVisible.
+  bool FamilyHasAbort(TxName root) const {
+    return aborted_per_family_.count(root) != 0;
+  }
+
   /// Lowest uncommitted ancestor of `subject` below T0 (kInvalidTx when
   /// visible now). Sets `*dead` when an ancestor has aborted.
   TxName BlockerOf(TxName subject, bool* dead) const;
+
+  /// ABORT of the committed name `u`: marks doomed every item whose chain
+  /// passes through `u` below its blocker. A shared walk from the blocker
+  /// cannot see that abort, a per-item walk would. Those items all sit on
+  /// u's lowest uncommitted proper ancestor, so this costs O(depth) plus
+  /// that one list.
+  void DoomItemsBelow(TxName u);
 
   uint8_t Flags(TxName t) const {
     size_t p = t >> kPageBits;
@@ -113,7 +153,11 @@ class VisibilityTracker {
 
   const SystemType* type_;
   std::vector<Page> pages_;
-  std::unordered_map<TxName, std::vector<Item>> waiters_;
+  std::unordered_map<TxName, Waiters> waiters_;
+  /// Live aborted names per top-level family (root): NeverVisible skips the
+  /// walk for a family with none.
+  std::unordered_map<TxName, uint32_t> aborted_per_family_;
+  mutable uint64_t ancestor_steps_ = 0;
 };
 
 /// Per-object slice of the online certifier: the visible operation sequence
@@ -297,6 +341,9 @@ class IncrementalCertifier {
   const GcStats& gc_stats() const { return gc_stats_; }
   /// Live serialization-graph nodes — the soak test's bounded-memory probe.
   size_t live_node_count() const { return graph_.node_count(); }
+  /// The visibility tracker's ancestor-step work counter (see
+  /// VisibilityTracker::ancestor_steps) — the shape-scaling tests' probe.
+  uint64_t ancestor_steps() const { return tracker_.ancestor_steps(); }
 
   /// Position of the first action whose ingestion turned the verdict
   /// not-OK; nullopt while the prefix is certified.

@@ -112,7 +112,20 @@ bool TraceIndex::IsOrphan(TxName t) const {
   }
 }
 
+void TraceIndex::BuildVisibleT0() const {
+  visible_t0_.assign(committed_.size(), 0);
+  visible_t0_[kT0] = 1;
+  for (TxName u = 1; u < visible_t0_.size(); ++u) {
+    visible_t0_[u] = committed_[u] & visible_t0_[type_.parent(u)];
+  }
+}
+
 bool TraceIndex::IsVisible(TxName t_prime, TxName t) const {
+  if (t == kT0) {
+    if (visible_t0_.empty()) BuildVisibleT0();
+    // Names interned after the index was built never committed in β.
+    return t_prime == kT0 || Flag(visible_t0_, t_prime);
+  }
   TxName lca = type_.Lca(t_prime, t);
   // Every ancestor of t_prime strictly below the lca must have committed.
   for (TxName u = t_prime; u != lca; u = type_.parent(u)) {

@@ -50,7 +50,8 @@ Trace ProjectGenericObject(const SystemType& type, const Trace& trace,
 
 /// Per-trace status index: which transactions were created / committed /
 /// aborted / requested, orphanhood, and pairwise visibility. Built once in
-/// O(|β|); queries are O(depth).
+/// O(|β|); queries are O(depth), except visibility to T0, which is one
+/// lookup in a table built on the first such query in O(names).
 class TraceIndex {
  public:
   TraceIndex(const SystemType& type, const Trace& trace);
@@ -69,10 +70,16 @@ class TraceIndex {
   bool IsLive(TxName t) const { return IsCreated(t) && !IsCompleted(t); }
 
   /// T' is visible to T in β iff every U in ancestors(T') - ancestors(T)
-  /// committed in β (Section 2.3.2).
+  /// committed in β (Section 2.3.2). Not safe to call concurrently on one
+  /// index while the T0 table is still unbuilt.
   bool IsVisible(TxName t_prime, TxName t) const;
 
  private:
+  /// visible_t0_[u] = u is visible to T0: u == T0, or u committed and its
+  /// parent visible to T0. One forward pass, since a parent's name is always
+  /// lower than its child's.
+  void BuildVisibleT0() const;
+
   static bool Flag(const std::vector<uint8_t>& v, TxName t) {
     return t < v.size() && v[t] != 0;
   }
@@ -83,6 +90,7 @@ class TraceIndex {
   std::vector<uint8_t> aborted_;
   std::vector<uint8_t> create_requested_;
   std::vector<uint8_t> commit_requested_;
+  mutable std::vector<uint8_t> visible_t0_;  // empty until the first T0 query
 };
 
 /// visible(β, T) — subsequence of serial actions of β whose hightransaction

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
+#include "sim/driver.h"
 #include "tx/trace.h"
 #include "tx/trace_checks.h"
+#include "tx/trace_io.h"
 
 namespace ntsg {
 namespace {
@@ -265,6 +270,102 @@ TEST_F(TraceTest, GenericObjectWellFormedness) {
   // INFORM_ABORT after INFORM_COMMIT for same tx.
   Trace bad = {Action::InformCommit(x_, t1_), Action::InformAbort(x_, t1_)};
   EXPECT_FALSE(CheckGenericObjectWellFormed(type_, bad, x_).ok());
+}
+
+/// Visibility to T0 by the definition: every ancestor strictly below T0
+/// committed in β.
+bool VisibleToT0ByWalk(const SystemType& type, const TraceIndex& index,
+                       TxName t) {
+  for (TxName u = t; u != kT0; u = type.parent(u)) {
+    if (!index.IsCommitted(u)) return false;
+  }
+  return true;
+}
+
+/// The T0 table must agree with the ancestor walk on every interned name.
+void ExpectT0TableMatchesWalk(const SystemType& type, const Trace& beta,
+                              const std::string& label) {
+  TraceIndex index(type, beta);
+  for (TxName t = 0; t < type.num_names(); ++t) {
+    ASSERT_EQ(index.IsVisible(t, kT0), VisibleToT0ByWalk(type, index, t))
+        << label << ": " << type.NameOf(t);
+  }
+}
+
+TEST_F(TraceTest, T0TableCoversOrphansAndUncommittedAncestors) {
+  // t1 committed with a committed access under it; t2 aborted, yet its
+  // access committed (an orphan); t3 open with a committed access.
+  TxName t3 = type_.NewChild(kT0);
+  TxName u3 = type_.NewAccess(t3, AccessSpec{x_, OpCode::kRead, 0});
+  Trace beta = FullRun();
+  beta.push_back(Action::RequestCreate(t2_));
+  beta.push_back(Action::Create(t2_));
+  beta.push_back(Action::RequestCreate(u2_));
+  beta.push_back(Action::Create(u2_));
+  beta.push_back(Action::RequestCommit(u2_, Value::Int(0)));
+  beta.push_back(Action::Commit(u2_));
+  beta.push_back(Action::Abort(t2_));
+  beta.push_back(Action::RequestCreate(t3));
+  beta.push_back(Action::Create(t3));
+  beta.push_back(Action::RequestCreate(u3));
+  beta.push_back(Action::Create(u3));
+  beta.push_back(Action::RequestCommit(u3, Value::Int(5)));
+  beta.push_back(Action::Commit(u3));
+  TraceIndex index(type_, beta);
+  EXPECT_TRUE(index.IsVisible(kT0, kT0));
+  EXPECT_TRUE(index.IsVisible(u1_, kT0));
+  EXPECT_FALSE(index.IsVisible(u2_, kT0));  // orphan
+  EXPECT_FALSE(index.IsVisible(u3, kT0));   // t3 still open
+  EXPECT_TRUE(index.IsVisible(u3, t3));     // the LCA walk for t != T0
+  ExpectT0TableMatchesWalk(type_, beta, "hand-built");
+
+  // Names interned after the index was built never committed in β — not
+  // even under a committed parent — so they are invisible, as the walk
+  // over the index's flags says.
+  TxName late = type_.NewAccess(t1_, AccessSpec{x_, OpCode::kRead, 0});
+  TxName late_child = type_.NewChild(type_.NewChild(kT0));
+  EXPECT_FALSE(index.IsVisible(late, kT0));
+  EXPECT_FALSE(index.IsVisible(late_child, kT0));
+  EXPECT_EQ(index.IsVisible(late, kT0), VisibleToT0ByWalk(type_, index, late));
+}
+
+TEST(TraceIndexT0Test, TableMatchesWalkOnCorpus) {
+  size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(NTSG_CORPUS_DIR)) {
+    if (entry.path().extension() != ".trace") continue;
+    SystemType type;
+    Trace beta;
+    ASSERT_TRUE(ReadTraceFile(entry.path().string(), &type, &beta).ok())
+        << entry.path();
+    ExpectT0TableMatchesWalk(type, beta, entry.path().filename().string());
+    ++files;
+  }
+  EXPECT_GE(files, 10u);
+}
+
+TEST(TraceIndexT0Test, TableMatchesWalkOnSimulatedTraces) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (Backend backend : {Backend::kMoss, Backend::kUndo, Backend::kSgt}) {
+      QuickRunParams params;
+      params.config.backend = backend;
+      params.config.seed = seed;
+      params.num_objects = 3;
+      params.num_toplevel = 4;
+      params.gen.depth = 3;
+      params.gen.fanout = 2;
+      params.gen.read_prob = 0.5;
+      QuickRunResult run = QuickRun(params);
+      const Trace& beta = run.sim.trace;
+      std::string label = std::string(BackendName(backend)) + " seed " +
+                          std::to_string(seed);
+      ExpectT0TableMatchesWalk(*run.type, beta, label);
+      // Prefixes leave ancestors uncommitted and children orphaned midway.
+      ExpectT0TableMatchesWalk(
+          *run.type, Trace(beta.begin(), beta.begin() + beta.size() / 2),
+          label + " half");
+    }
+  }
 }
 
 }  // namespace

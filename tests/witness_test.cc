@@ -217,6 +217,42 @@ TEST_F(WitnessTest, SuitabilityOfDerivedOrders) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
+TEST(WitnessDepthTest, ChainOfDepth100kNeedsNoRecursion) {
+  // One access at the bottom of a 100k-deep chain: the witness builder
+  // descends one level per frame of an explicit stack, so the depth is
+  // bounded by memory rather than by the call stack.
+  SystemType type;
+  ObjectId x = type.AddObject(ObjectType::kReadWrite, "X", 0);
+  constexpr int kDepth = 100000;
+  std::vector<TxName> chain;
+  Trace beta;
+  TxName node = kT0;
+  for (int d = 1; d < kDepth; ++d) {
+    node = type.NewChild(node);
+    chain.push_back(node);
+    beta.push_back(Action::RequestCreate(node));
+    beta.push_back(Action::Create(node));
+  }
+  TxName access = type.NewAccess(node, AccessSpec{x, OpCode::kWrite, 7});
+  beta.push_back(Action::RequestCreate(access));
+  beta.push_back(Action::Create(access));
+  chain.push_back(access);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    Value v = *it == access ? Value::Ok() : Value::Int(0);
+    beta.push_back(Action::RequestCommit(*it, v));
+    beta.push_back(Action::Commit(*it));
+    beta.push_back(Action::ReportCommit(*it, v));
+  }
+  WitnessResult result =
+      FastCheckSeriallyCorrectForT0(type, beta, ConflictMode::kReadWrite);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  // Every name runs CREATE .. COMMIT, the access also REQUEST_COMMIT, and
+  // every non-access level replays its REQUEST_CREATE, REPORT_COMMIT and
+  // (below T0) REQUEST_COMMIT.
+  EXPECT_EQ(result.witness.size(),
+            2u * kDepth + 1 + 2u * kDepth + (kDepth - 1));
+}
+
 TEST(ExhaustiveTest, AgreesWithSgCheckerOnSmallRuns) {
   // On small simulated runs, the SG-derived witness and the exhaustive
   // search must agree (both succeed for correct backends).
